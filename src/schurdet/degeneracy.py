@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidWitnessError, SizeGuardError
 from .linalg import Matrix, identity_matrix, matrix_add, matrix_vector, rank_exact
 from .linalg import det_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
-from .perm_algebra import all_permutations, positive_element
+from .perm_algebra import AlgebraElement, all_permutations, positive_element
 from .rng import derived_seed
 from .tensor_space import (
     Tensor,
@@ -26,7 +27,6 @@ from .tensor_space import (
     evaluate,
     is_zero_vector,
     make_vector,
-    permute_factors,
     project_isotypic,
     random_tensor,
     random_vector,
@@ -100,13 +100,11 @@ def diagonal_kernel_failure(
 
 def antisymmetrize(tensor: Tensor) -> Tensor:
     """Project onto fully alternating tensors: average of signed slot permutations."""
-    total = Tensor.zero(tensor.order, tensor.dim)
-    count = 0
-    for perm in all_permutations(tensor.order):
-        moved = permute_factors(perm, tensor)
-        total = total + (moved if perm.sign > 0 else moved.scale(-1))
-        count += 1
-    return total.scale(Fraction(1, count))
+    p = tensor.order
+    signed_mean = AlgebraElement(
+        p, {perm: Fraction(perm.sign, factorial(p)) for perm in all_permutations(p)}
+    )
+    return algebra_action(signed_mean, tensor)
 
 
 def positive_equation_residual(pi: SetPartition, tensor: Tensor) -> Tensor:

@@ -7,6 +7,9 @@ position ((i_1 * n + i_2) * n + ...) + i_p.
 Slots are numbered 1..p, matching the points permutations act on.  The action
 is (sigma . A)_{i_1 ... i_p} = A_{i_{sigma(1)} ... i_{sigma(p)}}, which makes
 (sigma tau) . A = sigma . (tau . A) under the package's composition convention.
+
+Scalars are exact Fractions at the API; the inner loops of algebra_action and
+contract_first run on integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
@@ -23,7 +27,6 @@ from .perm_algebra import (
     MAX_PROJECTOR_DEGREE,
     AlgebraElement,
     Permutation,
-    _central_sum,
     isotypic_projector,
 )
 from .rational import as_fraction
@@ -181,16 +184,36 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
     )
 
 
+def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers nums and den with values[i] == nums[i] / den, den the least such."""
+    den = lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
-    """Linear extension of the slot action to group algebra elements."""
+    """Linear extension of the slot action to group algebra elements.
+
+    Terms are grouped by coefficient: the entries each group's permutations
+    gather are summed with integer adds, then each group costs one multiply
+    per entry.
+    """
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
-    out = [Fraction(0)] * len(tensor.entries)
-    for perm, coeff in element.terms():
+    coeffs, coeff_den = _numerators([coeff for _, coeff in element.terms()])
+    entries, entry_den = _numerators(tensor.entries)
+    groups: dict[int, list[int]] = {}
+    for (perm, _), coeff in zip(element.terms(), coeffs):
         table = _perm_table(perm.images, tensor.dim)
-        for f, s in enumerate(table):
-            out[f] += coeff * tensor.entries[s]
-    return Tensor(tensor.order, tensor.dim, out)
+        summed = groups.get(coeff)
+        if summed is None:
+            groups[coeff] = [entries[s] for s in table]
+        else:
+            groups[coeff] = [a + entries[s] for a, s in zip(summed, table)]
+    out = [0] * len(entries)
+    for coeff, summed in groups.items():
+        out = [o + coeff * a for o, a in zip(out, summed)]
+    den = coeff_den * entry_den
+    return Tensor(tensor.order, tensor.dim, [Fraction(v, den) for v in out])
 
 
 def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
@@ -198,17 +221,19 @@ def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
     vec = make_vector(vector)
     if len(vec) != tensor.dim:
         raise ValueError("vector length must equal the tensor dimension")
+    weights, weight_den = _numerators(vec)
+    entries, entry_den = _numerators(tensor.entries)
     block = tensor.dim ** (tensor.order - 1)
-    out = [Fraction(0)] * block
-    for d, weight in enumerate(vec):
-        if weight == 0:
-            continue
-        base = d * block
-        for r in range(block):
-            out[r] += weight * tensor.entries[base + r]
+    out = [0] * block
+    for d, weight in enumerate(weights):
+        if weight:
+            row = entries[d * block : (d + 1) * block]
+            out = [o + weight * e for o, e in zip(out, row)]
+    den = weight_den * entry_den
+    values = [Fraction(v, den) for v in out]
     if tensor.order == 1:
-        return out[0]
-    return Tensor(tensor.order - 1, tensor.dim, out)
+        return values[0]
+    return Tensor(tensor.order - 1, tensor.dim, values)
 
 
 def evaluate(tensor: Tensor, vectors: Sequence[Sequence]) -> Fraction:
@@ -258,9 +283,8 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
         raise SizeGuardError(
             f"projection supports order <= {MAX_PROJECTOR_DEGREE}, got {lam.weight}"
         )
-    _, scale = isotypic_projector(lam)
-    summed = algebra_action(_central_sum(lam), tensor)
-    return summed.scale(1 / scale)
+    projector, _ = isotypic_projector(lam)
+    return algebra_action(projector, tensor)
 
 
 def isotypic_rank(lam: Partition, dim: int) -> int:

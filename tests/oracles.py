@@ -1,7 +1,9 @@
 """Independent oracles used to cross-check library results.
 
 Each of these computes a value by a route the library deliberately does not
-use: closed-form counting formulas and the fully expanded quartic invariant.
+use: closed-form counting formulas, the fully expanded quartic invariant, and
+plain Fraction loops over multi-indices for the slot action and contraction
+(the library runs those on integer numerators over one denominator).
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -10,6 +12,7 @@ import math
 from fractions import Fraction
 
 from schurdet import Partition, Tensor
+from schurdet.perm_algebra import AlgebraElement
 
 
 def hook_length_count(lam: Partition) -> int:
@@ -73,3 +76,43 @@ def expanded_quartic_invariant(tensor: Tensor) -> Fraction:
         + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1]
     )
     return value
+
+
+def _indices(tensor: Tensor):
+    return itertools.product(range(tensor.dim), repeat=tensor.order)
+
+
+def reference_algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
+    """sum_sigma c_sigma (sigma . A), from (sigma . A)_i = A_{i_sigma(1) ... i_sigma(p)}."""
+    out = {}
+    for idx in _indices(tensor):
+        total = Fraction(0)
+        for perm, coeff in element.terms():
+            source = tuple(idx[perm(k) - 1] for k in range(1, tensor.order + 1))
+            total += coeff * tensor.entry(source)
+        out[idx] = total
+    return Tensor.from_map(tensor.order, tensor.dim, out)
+
+
+def reference_contract_first(tensor: Tensor, vector) -> Tensor | Fraction:
+    """B_{i_2 ... i_p} = sum_d v_d A_{d i_2 ... i_p}; a scalar when p = 1."""
+    vec = [Fraction(v) for v in vector]
+    if tensor.order == 1:
+        return sum((w * tensor.entry((d,)) for d, w in enumerate(vec)), Fraction(0))
+    out = {}
+    for rest in itertools.product(range(tensor.dim), repeat=tensor.order - 1):
+        out[rest] = sum(
+            (w * tensor.entry((d,) + rest) for d, w in enumerate(vec)), Fraction(0)
+        )
+    return Tensor.from_map(tensor.order - 1, tensor.dim, out)
+
+
+def reference_evaluate(tensor: Tensor, vectors) -> Fraction:
+    """A(x^1, ..., x^p) = sum_i A_i x^1_{i_1} ... x^p_{i_p}."""
+    total = Fraction(0)
+    for idx in _indices(tensor):
+        term = tensor.entry(idx)
+        for vec, i in zip(vectors, idx):
+            term *= Fraction(vec[i])
+        total += term
+    return total

@@ -11,6 +11,7 @@ from schurdet import (
     SizeGuardError,
     Tensor,
     all_partitions,
+    all_permutations,
     antisymmetrize,
     critical_equation_failures,
     critical_equations_hold,
@@ -19,6 +20,7 @@ from schurdet import (
     evaluate,
     is_in_kernel,
     kernel_failure,
+    permute_factors,
     positive_equation_residual,
     project_isotypic,
     random_tensor,
@@ -83,6 +85,13 @@ class TestAntisymmetrize:
 
     def test_too_many_slots_for_the_dimension_gives_zero(self):
         assert antisymmetrize(random_tensor(3, 2, 8)).is_zero
+
+    def test_mean_of_signed_slot_permutations(self):
+        t = Tensor(3, 2, [Fraction(k - 3, k + 1) for k in range(8)])
+        total = Tensor.zero(3, 2)
+        for perm in all_permutations(3):
+            total = total + permute_factors(perm, t).scale(perm.sign)
+        assert antisymmetrize(t) == total.scale(Fraction(1, 6))
 
 
 class TestPositiveEquations:

@@ -14,6 +14,7 @@ from schurdet import (
     all_partitions,
     all_permutations,
     evaluate,
+    isotypic_projector,
     isotypic_rank,
     permute_factors,
     project_isotypic,
@@ -25,6 +26,9 @@ from schurdet import (
     young_symmetrizer,
 )
 from schurdet.perm_algebra import AlgebraElement
+from schurdet.tensor_space import contract_first
+
+from oracles import reference_algebra_action, reference_contract_first, reference_evaluate
 
 
 def P(*parts):
@@ -36,6 +40,21 @@ def F(v):
 
 
 seeds = st.integers(0, 2**32)
+# small rationals with mixed denominators and both signs
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def fraction_tensors(draw, orders=st.integers(1, 3), dims=st.integers(1, 3)):
+    order, dim = draw(orders), draw(dims)
+    size = dim**order
+    return Tensor(order, dim, draw(st.lists(fractions, min_size=size, max_size=size)))
+
+
+@st.composite
+def elements(draw, degree):
+    perms = draw(st.lists(st.permutations(range(1, degree + 1)), max_size=6))
+    return AlgebraElement(degree, {Permutation(p): draw(fractions) for p in perms})
 
 
 class TestTensorBasics:
@@ -193,6 +212,63 @@ class TestAlgebraAction:
         a = young_symmetrizer(P(2, 1))
         b = young_symmetrizer(P(3))
         assert algebra_action(a * b, t) == algebra_action(a, algebra_action(b, t))
+
+
+class TestDenominatorClearing:
+    """The integer kernel against plain Fraction loops, on non-integer entries."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_algebra_action(self, data):
+        t = data.draw(fraction_tensors())
+        element = data.draw(elements(t.order))
+        assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_contract_first(self, data):
+        t = data.draw(fraction_tensors())
+        vec = data.draw(st.lists(fractions, min_size=t.dim, max_size=t.dim))
+        assert contract_first(t, vec) == reference_contract_first(t, vec)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_evaluate(self, data):
+        t = data.draw(fraction_tensors())
+        vector = st.lists(fractions, min_size=t.dim, max_size=t.dim)
+        vecs = [data.draw(vector) for _ in range(t.order)]
+        assert evaluate(t, vecs) == reference_evaluate(t, vecs)
+
+    def test_projection_of_a_fraction_tensor(self):
+        t = Tensor(3, 2, [F(k - 4) / (k + 1) for k in range(8)])
+        for lam in all_partitions(3):
+            projector, _ = isotypic_projector(lam)
+            assert project_isotypic(lam, t) == reference_algebra_action(projector, t)
+
+
+class TestDimensionOne:
+    """Size-1 tensors: every slot permutation fixes the single entry."""
+
+    def test_algebra_action_scales_by_the_coefficient_sum(self):
+        for order in (1, 2, 3, 4):
+            t = Tensor(order, 1, [F(5) / 3])
+            element = AlgebraElement(
+                order, {p: F(p.sign) / 2 + 1 for p in all_permutations(order)}
+            )
+            total = sum((c for _, c in element.terms()), F(0))
+            assert algebra_action(element, t) == Tensor(order, 1, [total * F(5) / 3])
+
+    def test_project_isotypic_keeps_only_the_single_row(self):
+        for order in (2, 3, 4, 5):
+            t = Tensor(order, 1, [F(-7) / 2])
+            for lam in all_partitions(order):
+                expected = t if lam == P(order) else Tensor.zero(order, 1)
+                assert project_isotypic(lam, t) == expected
+
+    def test_evaluate(self):
+        t = Tensor(3, 1, [F(3) / 4])
+        assert evaluate(t, [(2,), (F(-1) / 3,), (5,)]) == F(3) / 4 * 2 * F(-1) / 3 * 5
+        assert contract_first(Tensor(1, 1, [F(2)]), [F(1) / 2]) == F(1)
 
 
 class TestProjection:
