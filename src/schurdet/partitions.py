@@ -138,14 +138,6 @@ class SetPartition:
         return SetPartition(obj)
 
 
-def shape_of(pi: SetPartition) -> Partition:
-    return pi.shape()
-
-
-def refines(first: SetPartition, second: SetPartition) -> bool:
-    return first.refines(second)
-
-
 @lru_cache(maxsize=None)
 def _all_partitions_cached(weight: int) -> tuple[Partition, ...]:
     out: list[Partition] = []

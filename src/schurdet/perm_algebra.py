@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import InternalConsistencyError, SizeGuardError
@@ -97,14 +98,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.images) + "]"
-
-
-def compose(first: Permutation, second: Permutation) -> Permutation:
-    return first * second
-
-
-def cycle_partition(perm: Permutation) -> SetPartition:
-    return perm.cycle_partition()
 
 
 def all_permutations(degree: int) -> Iterator[Permutation]:
@@ -314,33 +307,35 @@ def positive_element(pi: SetPartition) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _central_sum(lam: Partition) -> AlgebraElement:
-    """Sum of all conjugates of the Young symmetrizer; central, integer coefficients."""
-    p = lam.weight
-    sym = young_symmetrizer(lam)
-    terms: dict[Permutation, Fraction] = {}
-    for g in all_permutations(p):
-        g_inv = g.inverse()
-        for sigma, coeff in sym.terms():
-            conj = g * sigma * g_inv
-            terms[conj] = terms.get(conj, Fraction(0)) + coeff
-    return AlgebraElement(p, terms)
-
-
-@lru_cache(maxsize=None)
 def isotypic_projector(lam: Partition) -> tuple[AlgebraElement, Fraction]:
     """Idempotent projector onto the lam-isotypic block, with its normalizer.
 
-    Builds the central element z = sum over g of g * c * g^{-1} (c the Young
-    symmetrizer), finds the scalar s with z*z = s*z — guaranteed because z is
-    central and supported on a single isotypic block — and returns (z/s, s).
+    The central element z = sum over g of g * c * g^{-1} (c the Young
+    symmetrizer) is a class function: its coefficient on sigma is
+    (p! / |K|) * m(K), where K is the conjugacy class (cycle type) of sigma
+    and the class mass m(K) is the sum of c's coefficients on K.  z is built
+    that way, without conjugating.  Then the scalar s with z*z = s*z —
+    guaranteed because z is central and supported on a single isotypic
+    block — is found and checked, and (z/s, s) returned.
     """
-    if lam.weight > MAX_PROJECTOR_DEGREE:
+    p = lam.weight
+    if p > MAX_PROJECTOR_DEGREE:
         raise SizeGuardError(
-            f"isotypic_projector supports weight <= {MAX_PROJECTOR_DEGREE}, got {lam.weight}"
+            f"isotypic_projector supports weight <= {MAX_PROJECTOR_DEGREE}, got {p}"
         )
-    central = _central_sum(lam)
-    identity = Permutation.identity(lam.weight)
+    mass: dict[Partition, Fraction] = {}
+    for sigma, coeff in young_symmetrizer(lam).terms():
+        cycle_type = sigma.cycle_partition().shape()
+        mass[cycle_type] = mass.get(cycle_type, 0) + coeff
+    classes: dict[Partition, list[Permutation]] = {}
+    for g in all_permutations(p):
+        classes.setdefault(g.cycle_partition().shape(), []).append(g)
+    central = AlgebraElement(p, {
+        g: Fraction(mass.get(cycle_type, 0) * factorial(p), len(members))
+        for cycle_type, members in classes.items()
+        for g in members
+    })
+    identity = Permutation.identity(p)
     anchor = central.coefficient(identity)
     if not anchor:
         raise InternalConsistencyError("central sum lost its identity coefficient")

@@ -1,14 +1,18 @@
 """Exact rational scalars. Everything in this package is a fractions.Fraction."""
 
+import re
 from fractions import Fraction
 
-Rational = Fraction
+MAX_RATIONAL_TEXT = 1000
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, Fraction, or "num/den" string to an exact Fraction.
+    """Coerce an int, Fraction, or "[-]digits[/digits]" string to an exact Fraction.
 
-    Floats are rejected: exactness is a contract, not a preference.
+    Floats are rejected: exactness is a contract, not a preference.  Strings
+    are capped in length and never take exponents, so no input expands
+    without bound; a zero denominator is a ValueError like any other bad text.
     """
     if isinstance(value, Fraction):
         return value
@@ -17,5 +21,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if len(value) > MAX_RATIONAL_TEXT or not _RATIONAL_TEXT.fullmatch(value):
+            raise ValueError(f"not a [-]digits[/digits] rational: {value[:40]!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

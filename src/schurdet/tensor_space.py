@@ -23,12 +23,7 @@ from typing import Iterable, Sequence
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
-from .perm_algebra import (
-    MAX_PROJECTOR_DEGREE,
-    AlgebraElement,
-    Permutation,
-    isotypic_projector,
-)
+from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
 from .rational import as_fraction
 from .rng import SplitMix64
 
@@ -45,6 +40,24 @@ def is_zero_vector(vec: Sequence[Fraction]) -> bool:
     return all(v == 0 for v in vec)
 
 
+def _dense_size(order: int, dim: int) -> int:
+    """dim**order, refused as soon as a partial product passes MAX_DENSE_SIZE.
+
+    dim = 1 never grows, so it skips the loop whatever the order.
+    """
+    if order < 0 or dim < 1:
+        raise ValueError("dim must be positive and order non-negative")
+    size = 1
+    for _ in range(order if dim > 1 else 0):
+        size *= dim
+        if size > MAX_DENSE_SIZE:
+            raise SizeGuardError(
+                f"dense tensor of order {order} and dim {dim} would have more than "
+                f"{MAX_DENSE_SIZE} entries"
+            )
+    return size
+
+
 @dataclass(frozen=True)
 class Tensor:
     """Immutable dense tensor with rational entries."""
@@ -54,13 +67,9 @@ class Tensor:
     entries: tuple[Fraction, ...]
 
     def __init__(self, order: int, dim: int, entries: Iterable):
-        if order < 1 or dim < 1:
-            raise ValueError("order and dim must be positive")
-        size = dim**order
-        if size > MAX_DENSE_SIZE:
-            raise SizeGuardError(
-                f"dense tensor would have {size} entries, limit is {MAX_DENSE_SIZE}"
-            )
+        if order < 1:
+            raise ValueError("order must be positive")
+        size = _dense_size(order, dim)
         entries = tuple(as_fraction(v) for v in entries)
         if len(entries) != size:
             raise ValueError(f"expected {size} entries, got {len(entries)}")
@@ -70,12 +79,12 @@ class Tensor:
 
     @classmethod
     def zero(cls, order: int, dim: int) -> Tensor:
-        return cls(order, dim, [Fraction(0)] * dim**order)
+        return cls(order, dim, [Fraction(0)] * _dense_size(order, dim))
 
     @classmethod
     def from_map(cls, order: int, dim: int, assignments: dict) -> Tensor:
         """Build from {(i_1, ..., i_p): value} with 0-based indices; rest zero."""
-        entries = [Fraction(0)] * dim**order
+        entries = [Fraction(0)] * _dense_size(order, dim)
         for indices, value in assignments.items():
             entries[cls._flat(dim, order, tuple(indices))] = as_fraction(value)
         return cls(order, dim, entries)
@@ -133,7 +142,7 @@ class Tensor:
         if missing:
             raise ValueError(f"tensor document missing keys: {sorted(missing)}")
         order, dim, entries = obj["order"], obj["dim"], obj["entries"]
-        if not isinstance(order, int) or not isinstance(dim, int):
+        if not all(type(v) is int for v in (order, dim)):
             raise ValueError("order and dim must be integers")
         if not isinstance(entries, list):
             raise ValueError("entries must be a list")
@@ -142,10 +151,11 @@ class Tensor:
 
 def rank_one(vectors: Sequence[Sequence]) -> Tensor:
     """Outer product x^1 (x) ... (x) x^p of the given vectors."""
-    vecs = [make_vector(v) for v in vectors]
-    if not vecs:
+    if not vectors:
         raise ValueError("need at least one vector")
-    dim = len(vecs[0])
+    dim = len(vectors[0])
+    _dense_size(len(vectors), dim)
+    vecs = [make_vector(v) for v in vectors]
     if any(len(v) != dim for v in vecs):
         raise ValueError("all factors must share one dimension")
     entries = [Fraction(1)]
@@ -279,27 +289,13 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
     """Orthogonal projection of the tensor onto its lam-isotypic component."""
     if lam.weight != tensor.order:
         raise ValueError("partition weight must equal the tensor order")
-    if lam.weight > MAX_PROJECTOR_DEGREE:
-        raise SizeGuardError(
-            f"projection supports order <= {MAX_PROJECTOR_DEGREE}, got {lam.weight}"
-        )
     projector, _ = isotypic_projector(lam)
     return algebra_action(projector, tensor)
 
 
 def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if lam.weight > MAX_PROJECTOR_DEGREE:
-        raise SizeGuardError(
-            f"isotypic_rank supports weight <= {MAX_PROJECTOR_DEGREE}, got {lam.weight}"
-        )
-    size = dim**lam.weight
-    if size > MAX_DENSE_SIZE:
-        raise SizeGuardError(
-            f"tensor space has {size} coordinates, limit is {MAX_DENSE_SIZE}"
-        )
+    size = _dense_size(lam.weight, dim)
     projector, _ = isotypic_projector(lam)
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for perm, coeff in projector.terms():
@@ -311,13 +307,7 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
 
 def random_tensor(order: int, dim: int, seed: int) -> Tensor:
     """Seeded tensor with integer entries in [-9, 9], drawn in flat entry order."""
-    if order < 1 or dim < 1:
-        raise ValueError("order and dim must be positive")
-    size = dim**order
-    if size > MAX_DENSE_SIZE:
-        raise SizeGuardError(
-            f"dense tensor would have {size} entries, limit is {MAX_DENSE_SIZE}"
-        )
+    size = _dense_size(order, dim)
     rng = SplitMix64(seed)
     return Tensor(order, dim, [Fraction(rng.next_int(-9, 9)) for _ in range(size)])
 

@@ -1,9 +1,11 @@
 """Independent oracles used to cross-check library results.
 
 Each of these computes a value by a route the library deliberately does not
-use: closed-form counting formulas, the fully expanded quartic invariant, and
+use: closed-form counting formulas, the fully expanded quartic invariant,
 plain Fraction loops over multi-indices for the slot action and contraction
-(the library runs those on integer numerators over one denominator).
+(the library runs those on integer numerators over one denominator), and the
+central sum of the Young symmetrizer by explicit conjugation (the library
+builds it as a class function).
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -12,7 +14,7 @@ import math
 from fractions import Fraction
 
 from schurdet import Partition, Tensor
-from schurdet.perm_algebra import AlgebraElement
+from schurdet.perm_algebra import AlgebraElement, all_permutations, young_symmetrizer
 
 
 def hook_length_count(lam: Partition) -> int:
@@ -116,3 +118,14 @@ def reference_evaluate(tensor: Tensor, vectors) -> Fraction:
             term *= Fraction(vec[i])
         total += term
     return total
+
+
+def reference_central_sum(lam: Partition) -> AlgebraElement:
+    """sum over g in S_p of g * c * g^{-1}, c the Young symmetrizer of lam."""
+    terms: dict = {}
+    for g in all_permutations(lam.weight):
+        g_inv = g.inverse()
+        for sigma, coeff in young_symmetrizer(lam).terms():
+            conj = g * sigma * g_inv
+            terms[conj] = terms.get(conj, Fraction(0)) + coeff
+    return AlgebraElement(lam.weight, terms)

@@ -173,6 +173,36 @@ class TestHyperdetCommand:
     def test_input_is_required(self, capsys):
         assert run(capsys, "hyperdet")[0] == 2
 
+    def input_error(self, capsys, *argv):
+        """Run hyperdet, expect exit 2 with one `error:` line and no traceback."""
+        code, out, err = run(capsys, "hyperdet", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("entry", ["1/0", "1e3"])
+    @pytest.mark.parametrize("mode", ["tensor", "--det", "--pfaffian"])
+    def test_bad_entry_text(self, capsys, tmp_path, mode, entry):
+        if mode == "tensor":
+            obj, flags = {"order": 3, "dim": 2, "entries": [entry] + ["0"] * 7}, []
+        else:
+            obj, flags = [["0", entry], ["0", "0"]], [mode]
+        path = self.write(tmp_path, "bad.json", obj)
+        assert entry in self.input_error(capsys, "--input", path, *flags)
+
+    @pytest.mark.parametrize("key", ["order", "dim"])
+    def test_boolean_order_or_dim(self, capsys, tmp_path, key):
+        tensor = {"order": 3, "dim": 2, "entries": ["0"] * 8}
+        tensor[key] = True
+        path = self.write(tmp_path, "t.json", tensor)
+        assert "integers" in self.input_error(capsys, "--input", path)
+
+    def test_oversized_order(self, capsys, tmp_path):
+        tensor = {"order": 2_000_000, "dim": 2, "entries": ["0"]}
+        path = self.write(tmp_path, "t.json", tensor)
+        assert "4096" in self.input_error(capsys, "--input", path)
+
 
 class TestReport:
     def test_exit_and_structure(self, capsys):

@@ -107,6 +107,28 @@ class TestTensorBasics:
             Tensor.from_json_obj({"order": "2", "dim": 2, "entries": []})
         with pytest.raises(ValueError):
             Tensor.from_json_obj([1, 2])
+        # JSON booleans are not integers here, though Python's bool subclasses int
+        with pytest.raises(ValueError):
+            Tensor.from_json_obj({"order": True, "dim": 2, "entries": ["1", "2"]})
+        with pytest.raises(ValueError):
+            Tensor.from_json_obj({"order": 1, "dim": True, "entries": ["1"]})
+
+    def test_size_guard_fires_before_the_size_is_built(self):
+        # 2**2_000_000 entries: refused without forming the count or any entry list
+        builders = [
+            lambda: Tensor(2_000_000, 2, [1]),
+            lambda: Tensor.zero(2_000_000, 2),
+            lambda: Tensor.from_map(2_000_000, 2, {}),
+            lambda: random_tensor(2_000_000, 2, 1),
+            lambda: isotypic_rank(P(3, 3), 2_000_000),
+            lambda: rank_one([(1, 1)] * 13),
+        ]
+        for build in builders:
+            with pytest.raises(SizeGuardError):
+                build()
+
+    def test_dimension_one_has_one_entry_at_any_order(self):
+        assert Tensor.zero(2_000_000, 1).entries == (0,)
 
     def test_rank_one(self):
         t = rank_one([(1, 2), (3, 4), (5, 6)])
