@@ -302,7 +302,8 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, integers past the digit limit, deep nesting
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -6,6 +6,9 @@ derives from this single choice.
 
 The row/column subgroups of a Young diagram use the row-major filling: boxes
 numbered consecutively left to right, top to bottom.
+
+Scalars are exact Fractions at the API; the inner loop of multiply runs on
+integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .partitions import Partition, SetPartition
-from .rational import as_fraction
+from .rational import as_fraction, common_denominator
 
 MAX_GROUP_DEGREE = 8
 MAX_PROJECTOR_DEGREE = 6
@@ -209,15 +212,35 @@ class AlgebraElement:
 
 
 def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
-    """Group algebra product: bilinear extension of composition."""
+    """Group algebra product: bilinear extension of composition.
+
+    Both factors' coefficients become integer numerators over one common
+    denominator each, and the right factor's terms are grouped by numerator,
+    so each (sigma, group) pair costs one integer multiply.  sigma * tau is
+    composed on the bare image tuples and its numerator accumulated in a dict
+    keyed by those tuples; each distinct product then becomes one validated
+    Permutation and one Fraction, and sums that cancel to zero are dropped.
+    """
     if left.degree != right.degree:
         raise ValueError("degree mismatch")
-    terms: dict[Permutation, Fraction] = {}
-    for sigma, a in left.terms():
-        for tau, b in right.terms():
-            perm = sigma * tau
-            terms[perm] = terms.get(perm, Fraction(0)) + a * b
-    return AlgebraElement(left.degree, terms)
+    left_nums, left_den = common_denominator([a for _, a in left.terms()])
+    right_nums, right_den = common_denominator([b for _, b in right.terms()])
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for (tau, _), b in zip(right.terms(), right_nums):
+        groups.setdefault(b, []).append(tau.images)
+    acc: dict[tuple[int, ...], int] = {}
+    for (sigma, _), a in zip(left.terms(), left_nums):
+        # look(j) = sigma(j); the leading 0 makes the 1-based images index directly
+        look = ((0,) + sigma.images).__getitem__
+        for b, taus in groups.items():
+            c = a * b
+            for images in taus:
+                key = tuple(map(look, images))
+                acc[key] = acc.get(key, 0) + c
+    den = left_den * right_den
+    return AlgebraElement(left.degree, {
+        Permutation(key): Fraction(v, den) for key, v in acc.items() if v
+    })
 
 
 def _row_major_rows(lam: Partition) -> list[tuple[int, ...]]:

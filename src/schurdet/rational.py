@@ -2,6 +2,8 @@
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 MAX_RATIONAL_TEXT = 1000
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -28,3 +30,9 @@ def as_fraction(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers nums and den with values[i] == nums[i] / den, den the least such."""
+    den = lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den

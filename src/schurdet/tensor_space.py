@@ -17,17 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
 from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
-from .rational import as_fraction
+from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
+MAX_RANK_SIZE = 1024
 
 Vector = tuple[Fraction, ...]
 
@@ -194,12 +194,6 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
     )
 
 
-def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers nums and den with values[i] == nums[i] / den, den the least such."""
-    den = lcm(*{v.denominator for v in values})
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     """Linear extension of the slot action to group algebra elements.
 
@@ -209,8 +203,8 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     """
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
-    coeffs, coeff_den = _numerators([coeff for _, coeff in element.terms()])
-    entries, entry_den = _numerators(tensor.entries)
+    coeffs, coeff_den = common_denominator([coeff for _, coeff in element.terms()])
+    entries, entry_den = common_denominator(tensor.entries)
     groups: dict[int, list[int]] = {}
     for (perm, _), coeff in zip(element.terms(), coeffs):
         table = _perm_table(perm.images, tensor.dim)
@@ -231,8 +225,8 @@ def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
     vec = make_vector(vector)
     if len(vec) != tensor.dim:
         raise ValueError("vector length must equal the tensor dimension")
-    weights, weight_den = _numerators(vec)
-    entries, entry_den = _numerators(tensor.entries)
+    weights, weight_den = common_denominator(vec)
+    entries, entry_den = common_denominator(tensor.entries)
     block = tensor.dim ** (tensor.order - 1)
     out = [0] * block
     for d, weight in enumerate(weights):
@@ -294,8 +288,18 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
 
 
 def isotypic_rank(lam: Partition, dim: int) -> int:
-    """Dimension of the lam-isotypic component of the order-p tensor space."""
+    """Dimension of the lam-isotypic component of the order-p tensor space.
+
+    The rank is taken of a dense size x size matrix, so size is capped at
+    MAX_RANK_SIZE (about a million cells) before the projector or any row is
+    built.
+    """
     size = _dense_size(lam.weight, dim)
+    if size > MAX_RANK_SIZE:
+        raise SizeGuardError(
+            f"isotypic_rank builds a {size} x {size} matrix; at most "
+            f"{MAX_RANK_SIZE} x {MAX_RANK_SIZE} is supported"
+        )
     projector, _ = isotypic_projector(lam)
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for perm, coeff in projector.terms():

@@ -3,9 +3,10 @@
 Each of these computes a value by a route the library deliberately does not
 use: closed-form counting formulas, the fully expanded quartic invariant,
 plain Fraction loops over multi-indices for the slot action and contraction
-(the library runs those on integer numerators over one denominator), and the
-central sum of the Young symmetrizer by explicit conjugation (the library
-builds it as a class function).
+and over term pairs for the group algebra product (the library runs those on
+integer numerators over one denominator), and the central sum of the Young
+symmetrizer by explicit conjugation (the library builds it as a class
+function).
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -129,3 +130,13 @@ def reference_central_sum(lam: Partition) -> AlgebraElement:
             conj = g * sigma * g_inv
             terms[conj] = terms.get(conj, Fraction(0)) + coeff
     return AlgebraElement(lam.weight, terms)
+
+
+def reference_multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
+    """sum over term pairs of (a * b) (sigma * tau), composing Permutation objects."""
+    terms: dict = {}
+    for sigma, a in left.terms():
+        for tau, b in right.terms():
+            perm = sigma * tau
+            terms[perm] = terms.get(perm, Fraction(0)) + a * b
+    return AlgebraElement(left.degree, terms)

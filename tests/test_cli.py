@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from schurdet.cli import main
 
@@ -198,6 +200,16 @@ class TestHyperdetCommand:
         path = self.write(tmp_path, "t.json", tensor)
         assert "integers" in self.input_error(capsys, "--input", path)
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe[1]", b"1" * 5000, b"[" * 100_000],
+        ids=["bad-utf8", "int-past-digit-limit", "deep-nesting"],
+    )
+    def test_unreadable_json(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert "not valid JSON" in self.input_error(capsys, "--input", str(path))
+
     def test_oversized_order(self, capsys, tmp_path):
         tensor = {"order": 2_000_000, "dim": 2, "entries": ["0"]}
         path = self.write(tmp_path, "t.json", tensor)
@@ -252,3 +264,73 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+# --- property tests: main returns an exit code for any input ------------------
+
+good_cells = st.integers(-9, 9) | st.sampled_from(["0", "-3", "2/3", "-7/4"])
+bad_cells = st.sampled_from(["1/0", "1e3", "", "x", None, True, 0.5])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# near-valid documents reach past the shape checks into the computations
+tensor_docs = st.fixed_dictionaries({
+    "order": st.just(3),
+    "dim": st.just(2),
+    "entries": st.lists(good_cells, min_size=8, max_size=8)
+    | st.lists(good_cells | bad_cells, min_size=8, max_size=8),
+}) | st.fixed_dictionaries({
+    "order": st.integers(-1, 4) | json_values,
+    "dim": st.integers(-1, 3) | json_values,
+    "entries": st.lists(good_cells | bad_cells, max_size=9),
+})
+square = st.integers(0, 6).flatmap(
+    lambda size: st.lists(
+        st.lists(st.integers(-9, 9), min_size=size, max_size=size),
+        min_size=size, max_size=size,
+    )
+)
+skew = square.map(
+    lambda m: [[a - b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+)
+matrix_docs = square | skew | st.lists(
+    st.lists(good_cells | bad_cells, max_size=5), max_size=5
+)
+fuzz = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestNeverRaises:
+    """Any input exits 0, 1 or 2 without a traceback (report and verify not fuzzed)."""
+
+    @fuzz
+    @given(data=st.data())
+    @pytest.mark.parametrize("mode", ["tensor", "--det", "--pfaffian"])
+    def test_hyperdet_input(self, capsys, tmp_path, mode, data):
+        shaped = tensor_docs if mode == "tensor" else matrix_docs
+        doc = data.draw(shaped | json_values)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        flags = [] if mode == "tensor" else [mode]
+        code, out, err = run(capsys, "hyperdet", "--input", str(path), *flags)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @fuzz
+    @given(
+        text=st.text(max_size=12)
+        | st.lists(st.integers(-1, 7), max_size=5).map(
+            lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+        )
+    )
+    def test_critical_set_text(self, capsys, text):
+        code, _, _ = run(capsys, "critical-set", text)
+        assert code in (0, 1, 2)

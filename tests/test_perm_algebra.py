@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurdet import (
@@ -24,7 +24,7 @@ from schurdet import (
     young_symmetrizer,
 )
 from schurdet.perm_algebra import multiply
-from oracles import reference_central_sum
+from oracles import reference_central_sum, reference_multiply
 
 
 def P(*parts):
@@ -32,6 +32,14 @@ def P(*parts):
 
 
 perms4 = st.permutations(list(range(1, 5))).map(Permutation)
+# small rationals with mixed denominators and both signs
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def elements(draw, degree, max_terms=8):
+    perms = draw(st.lists(st.permutations(range(1, degree + 1)), max_size=max_terms))
+    return AlgebraElement(degree, {Permutation(p): draw(fractions) for p in perms})
 
 
 class TestPermutation:
@@ -155,6 +163,53 @@ class TestAlgebraElement:
         assert [item["perm"] for item in obj] == sorted(item["perm"] for item in obj)
         assert {item["coeff"] for item in obj} == {"2/3", "-2/3"}
 
+
+class TestMultiplyKernel:
+    """The integer composition kernel against the Fraction double loop."""
+
+    def check(self, left, right):
+        product = multiply(left, right)
+        assert product == reference_multiply(left, right)
+        assert all(coeff for _, coeff in product.terms())
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_matches_the_reference(self, data):
+        degree = data.draw(st.integers(1, 4))
+        self.check(data.draw(elements(degree)), data.draw(elements(degree)))
+
+    def test_empty_factor(self):
+        x = young_symmetrizer(P(2, 1)).scale(Fraction(-5, 6))
+        zero = AlgebraElement(3)
+        for left, right in [(zero, x), (x, zero), (zero, zero)]:
+            self.check(left, right)
+            assert multiply(left, right).is_zero
+
+    def test_degree_one(self):
+        e = Permutation.identity(1)
+        left = AlgebraElement(1, {e: Fraction(-7, 4)})
+        right = AlgebraElement(1, {e: Fraction(2, 3)})
+        self.check(left, right)
+        assert multiply(left, right).coefficient(e) == Fraction(-7, 6)
+
+    def test_cancelling_terms_are_dropped(self):
+        # (1 + s)(1 - s) = 1 - s^2 = 0 for a transposition s
+        s = Permutation([2, 1, 3])
+        e = AlgebraElement.unit(3)
+        plus = e + AlgebraElement.from_permutation(s)
+        minus = e - AlgebraElement.from_permutation(s)
+        self.check(plus, minus)
+        assert multiply(plus, minus).is_zero
+        # x (1 + s) (1 - s) = 0 as well, through many cancelling term pairs
+        x = young_symmetrizer(P(2, 1)).scale(Fraction(1, 3))
+        self.check(x * plus, minus)
+        assert multiply(x * plus, minus).is_zero
+        # partial cancellation: (1 + s)(1 - s + c t) = c t + c s t
+        c = Fraction(5, 2)
+        t = Permutation([1, 3, 2])
+        mixed = minus + AlgebraElement.from_permutation(t, c)
+        self.check(plus, mixed)
+        assert multiply(plus, mixed) == AlgebraElement(3, {t: c, s * t: c})
 
 class TestTableauGroups:
     def test_row_and_column_groups_of_a_hook(self):

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from schurdet import as_fraction
-from schurdet.rational import MAX_RATIONAL_TEXT
+from schurdet.rational import MAX_RATIONAL_TEXT, common_denominator
 
 
 @pytest.mark.parametrize(
@@ -27,3 +29,9 @@ def test_length_cap():
 def test_non_exact_types_are_refused(value):
     with pytest.raises(TypeError):
         as_fraction(value)
+
+
+def test_common_denominator_is_the_least_one():
+    values = [Fraction(1, 4), Fraction(-5, 6), Fraction(3), Fraction(0)]
+    assert common_denominator(values) == ([3, -10, 36, 0], 12)
+    assert common_denominator([]) == ([], 1)

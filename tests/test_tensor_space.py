@@ -26,6 +26,7 @@ from schurdet import (
     young_symmetrizer,
 )
 from schurdet.perm_algebra import AlgebraElement
+from schurdet import tensor_space
 from schurdet.tensor_space import contract_first
 
 from oracles import reference_algebra_action, reference_contract_first, reference_evaluate
@@ -360,6 +361,14 @@ class TestIsotypicRank:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             isotypic_rank(P(7), 2)
+
+    def test_matrix_size_guard_fires_before_anything_is_built(self, monkeypatch):
+        # sizes 1600 and 4096 pass the dense-size guard but not the size^2 one;
+        # a projector build would call the None and fail with TypeError
+        monkeypatch.setattr(tensor_space, "isotypic_projector", None)
+        for lam, dim in [(P(1, 1), 40), (P(3, 3), 4)]:
+            with pytest.raises(SizeGuardError, match="1024"):
+                isotypic_rank(lam, dim)
 
 
 class TestRandomSources:
