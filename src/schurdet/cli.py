@@ -26,6 +26,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .degeneracy import (
+    MAX_EIGENCHECK,
+    MAX_SWEEP_DIM,
+    MAX_SWEEP_ORDER,
     critical_equations_hold,
     degeneracy_sweep,
     slot_system_det,
@@ -52,10 +55,6 @@ from .tensor_space import (
     rank_one,
 )
 
-MAX_CLI_ORDER = 5
-MAX_CLI_DIM = 3
-MAX_CLI_MU = 16
-
 DEFAULT_TRIALS = {"t2": 5, "main": 20, "pfaffian": 20, "hyperdet222": 50}
 PFAFFIAN_SIZES = (2, 4, 6)
 
@@ -73,14 +72,14 @@ class SuiteConfig:
     max_mu: int
 
     def __post_init__(self):
-        if not 2 <= self.order <= MAX_CLI_ORDER:
-            raise UsageError(f"--p must be in 2..{MAX_CLI_ORDER}")
-        if not 1 <= self.dim <= MAX_CLI_DIM:
-            raise UsageError(f"--n must be in 1..{MAX_CLI_DIM}")
+        if not 2 <= self.order <= MAX_SWEEP_ORDER:
+            raise UsageError(f"--p must be in 2..{MAX_SWEEP_ORDER}")
+        if not 1 <= self.dim <= MAX_SWEEP_DIM:
+            raise UsageError(f"--n must be in 1..{MAX_SWEEP_DIM}")
         if self.trials is not None and self.trials < 1:
             raise UsageError("--trials must be at least 1")
-        if not 1 <= self.max_mu <= MAX_CLI_MU:
-            raise UsageError(f"--max-mu must be in 1..{MAX_CLI_MU}")
+        if not 1 <= self.max_mu <= MAX_EIGENCHECK:
+            raise UsageError(f"--max-mu must be in 1..{MAX_EIGENCHECK}")
 
     def trials_for(self, suite: str) -> int:
         return self.trials if self.trials is not None else DEFAULT_TRIALS[suite]

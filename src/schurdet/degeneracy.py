@@ -15,8 +15,7 @@ from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidWitnessError, SizeGuardError
-from .linalg import Matrix, identity_matrix, matrix_add, matrix_vector, rank_exact
-from .linalg import det_exact
+from .linalg import Matrix, det_exact, rank_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
 from .perm_algebra import AlgebraElement, all_permutations, positive_element
 from .rng import derived_seed
@@ -166,12 +165,11 @@ def slot_system_eigencheck(mu1: int) -> bool:
     if mu1 > MAX_EIGENCHECK:
         raise SizeGuardError(f"eigencheck supports mu1 <= {MAX_EIGENCHECK}")
     m = slot_system_matrix(mu1)
-    size = mu1 + 1
-    shifted = matrix_add(m, identity_matrix(size))
-    if rank_exact(shifted) != 1:
+    if any(sum(row) != mu1 for row in m):
         return False
-    ones = [Fraction(1)] * size
-    return matrix_vector(m, ones) == [Fraction(mu1)] * size
+    for i, row in enumerate(m):
+        row[i] += 1
+    return rank_exact(m) == 1
 
 
 def substitution_values(tensor: Tensor, x: Sequence, y: Sequence) -> list[Fraction]:

@@ -6,7 +6,10 @@ No pivoting strategy beyond "first nonzero" is needed since arithmetic is exact.
 
 from fractions import Fraction
 
+from .errors import SizeGuardError
 from .rational import as_fraction
+
+MAX_DET_SIZE = 65
 
 Matrix = list[list[Fraction]]
 
@@ -16,26 +19,6 @@ def copy_matrix(rows) -> Matrix:
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
-
-
-def identity_matrix(size: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-
-def matrix_add(a, b) -> Matrix:
-    a, b = copy_matrix(a), copy_matrix(b)
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise ValueError("shape mismatch")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def matrix_vector(rows, vec) -> list[Fraction]:
-    m = copy_matrix(rows)
-    v = [as_fraction(x) for x in vec]
-    if m and len(m[0]) != len(v):
-        raise ValueError("shape mismatch")
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m]
 
 
 def _eliminate(m: Matrix) -> tuple[int, int]:
@@ -81,7 +64,15 @@ def rank_exact(rows) -> int:
 
 
 def det_exact(rows) -> Fraction:
-    """Determinant of a square matrix, by exact elimination."""
+    """Determinant of a square matrix, by exact elimination.
+
+    More than MAX_DET_SIZE rows (the largest slot system has 65) is refused
+    before any entry is copied.
+    """
+    if len(rows) > MAX_DET_SIZE:
+        raise SizeGuardError(
+            f"determinant supports at most {MAX_DET_SIZE} rows, got {len(rows)}"
+        )
     m = copy_matrix(rows)
     size = len(m)
     if any(len(row) != size for row in m):

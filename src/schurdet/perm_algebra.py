@@ -103,9 +103,9 @@ class Permutation:
         return "[" + " ".join(str(v) for v in self.images) + "]"
 
 
-def all_permutations(degree: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, degree + 1)):
-        yield Permutation(images)
+def all_permutations(degree: int) -> list[Permutation]:
+    """The whole symmetric group on 1..degree, images in lexicographic order."""
+    return _block_stabilizer(degree, [tuple(range(1, degree + 1))])
 
 
 class AlgebraElement:
@@ -261,7 +261,15 @@ def _row_major_columns(lam: Partition) -> list[tuple[int, ...]]:
 
 
 def _block_stabilizer(degree: int, blocks: list[tuple[int, ...]]) -> list[Permutation]:
-    """All permutations of 1..degree mapping each listed block to itself."""
+    """All permutations of 1..degree mapping each listed block to itself.
+
+    Every group enumeration comes here, so MAX_GROUP_DEGREE is checked before
+    the first permutation is built.
+    """
+    if degree > MAX_GROUP_DEGREE:
+        raise SizeGuardError(
+            f"groups are enumerated to degree {MAX_GROUP_DEGREE}, got {degree}"
+        )
     out = []
     for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
         images = list(range(1, degree + 1))
@@ -272,22 +280,13 @@ def _block_stabilizer(degree: int, blocks: list[tuple[int, ...]]) -> list[Permut
     return out
 
 
-def _check_group_degree(lam: Partition, what: str) -> None:
-    if lam.weight > MAX_GROUP_DEGREE:
-        raise SizeGuardError(
-            f"{what} supports weight <= {MAX_GROUP_DEGREE}, got {lam.weight}"
-        )
-
-
 def row_group(lam: Partition) -> list[Permutation]:
     """Permutations preserving each row of the row-major filling of lam."""
-    _check_group_degree(lam, "row_group")
     return _block_stabilizer(lam.weight, _row_major_rows(lam))
 
 
 def column_group(lam: Partition) -> list[Permutation]:
     """Permutations preserving each column of the row-major filling of lam."""
-    _check_group_degree(lam, "column_group")
     return _block_stabilizer(lam.weight, _row_major_columns(lam))
 
 
@@ -320,13 +319,8 @@ def positive_element(pi: SetPartition) -> AlgebraElement:
     Those are exactly the permutations moving each block of pi within itself,
     so the support is the product of the per-block symmetric groups.
     """
-    p = pi.ground_size
-    if p > MAX_GROUP_DEGREE:
-        raise SizeGuardError(
-            f"positive_element supports ground size <= {MAX_GROUP_DEGREE}, got {p}"
-        )
-    support = _block_stabilizer(p, list(pi.blocks))
-    return AlgebraElement(p, {perm: Fraction(1) for perm in support})
+    support = _block_stabilizer(pi.ground_size, list(pi.blocks))
+    return AlgebraElement(pi.ground_size, {perm: Fraction(1) for perm in support})
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,8 @@ Slots are numbered 1..p, matching the points permutations act on.  The action
 is (sigma . A)_{i_1 ... i_p} = A_{i_{sigma(1)} ... i_{sigma(p)}}, which makes
 (sigma tau) . A = sigma . (tau . A) under the package's composition convention.
 
-Scalars are exact Fractions at the API; the inner loops of algebra_action and
-contract_first run on integer numerators over one common denominator.
+Scalars are exact Fractions at the API; algebra_action, contract_first and
+slot_slice run their inner loops on integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -241,42 +241,42 @@ def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
 
 
 def evaluate(tensor: Tensor, vectors: Sequence[Sequence]) -> Fraction:
-    """Full evaluation A(x^1, ..., x^p)."""
+    """Full evaluation A(x^1, ..., x^p): the slot-1 slice paired with x^1."""
     if len(vectors) != tensor.order:
         raise ValueError("need one vector per slot")
-    current: Tensor | Fraction = tensor
-    for vec in vectors:
-        current = contract_first(current, vec)
-    return current
-
-
-def _send_slot_last(order: int, slot: int) -> Permutation:
-    # Under evaluate, argument position m of (sigma . A) feeds A's slot
-    # sigma^{-1}(m); sending `slot` to the last position needs sigma(slot) = order
-    # with the remaining slots keeping their relative order.
-    images = [order if t == slot else (t if t < slot else t - 1) for t in range(1, order + 1)]
-    return Permutation(images)
+    first = make_vector(vectors[0])
+    if len(first) != tensor.dim:
+        raise ValueError("vector length must equal the tensor dimension")
+    covector = slot_slice(tensor, vectors, 1)
+    return sum((a * b for a, b in zip(first, covector)), Fraction(0))
 
 
 def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> Vector:
     """Partial evaluation leaving slot `slot` (1-based) free.
 
-    vectors[slot - 1] is ignored and may be None.
+    vectors[slot - 1] is ignored and may be None.  Slots before the free one go
+    through contract_first; slots after it are contracted where they lie, last
+    first, each pass turning every run of dim adjacent entries into one.
     """
     if not 1 <= slot <= tensor.order:
         raise ValueError(f"slot must be in 1..{tensor.order}")
     if len(vectors) != tensor.order:
         raise ValueError("need one vector per slot")
-    moved = permute_factors(_send_slot_last(tensor.order, slot), tensor)
-    current: Tensor | Fraction = moved
-    for j, vec in enumerate(vectors, start=1):
-        if j == slot:
-            continue
+    current = tensor
+    for vec in vectors[: slot - 1]:
         current = contract_first(current, vec)
-    if tensor.order == 1:
-        return tuple(tensor.entries)
-    assert isinstance(current, Tensor) and current.order == 1
-    return tuple(current.entries)
+    dim = tensor.dim
+    entries, den = common_denominator(current.entries)
+    for vec in reversed(vectors[slot:]):
+        weights, weight_den = common_denominator(make_vector(vec))
+        if len(weights) != dim:
+            raise ValueError("vector length must equal the tensor dimension")
+        out = [0] * (len(entries) // dim)
+        for d, weight in enumerate(weights):
+            if weight:
+                out = [o + weight * e for o, e in zip(out, entries[d::dim])]
+        entries, den = out, den * weight_den
+    return tuple(Fraction(v, den) for v in entries)
 
 
 def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:

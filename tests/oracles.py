@@ -2,10 +2,10 @@
 
 Each of these computes a value by a route the library deliberately does not
 use: closed-form counting formulas, the fully expanded quartic invariant,
-plain Fraction loops over multi-indices for the slot action and contraction
-and over term pairs for the group algebra product (the library runs those on
-integer numerators over one denominator), and the central sum of the Young
-symmetrizer by explicit conjugation (the library builds it as a class
+plain Fraction loops over multi-indices for the slot action, contraction and
+slicing, and over term pairs for the group algebra product (the library runs
+those on integer numerators over one denominator), and the central sum of the
+Young symmetrizer by explicit conjugation (the library builds it as a class
 function).
 Agreement with the library is then a genuine two-route check.
 """
@@ -119,6 +119,18 @@ def reference_evaluate(tensor: Tensor, vectors) -> Fraction:
             term *= Fraction(vec[i])
         total += term
     return total
+
+
+def reference_slot_slice(tensor: Tensor, vectors, slot: int) -> tuple[Fraction, ...]:
+    """c_k = sum over i with i_slot = k of A_i times x^j_{i_j} for every j != slot."""
+    out = [Fraction(0)] * tensor.dim
+    for idx in _indices(tensor):
+        term = tensor.entry(idx)
+        for j, (vec, i) in enumerate(zip(vectors, idx), start=1):
+            if j != slot:
+                term *= Fraction(vec[i])
+        out[idx[slot - 1]] += term
+    return tuple(out)
 
 
 def reference_central_sum(lam: Partition) -> AlgebraElement:

@@ -210,6 +210,10 @@ class TestHyperdetCommand:
         path.write_bytes(data)
         assert "not valid JSON" in self.input_error(capsys, "--input", str(path))
 
+    def test_oversized_det(self, capsys, tmp_path):
+        path = self.write(tmp_path, "m.json", [[0] * 66] * 66)
+        assert "65" in self.input_error(capsys, "--input", path, "--det")
+
     def test_oversized_order(self, capsys, tmp_path):
         tensor = {"order": 2_000_000, "dim": 2, "entries": ["0"]}
         path = self.write(tmp_path, "t.json", tensor)

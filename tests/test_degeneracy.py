@@ -93,6 +93,11 @@ class TestAntisymmetrize:
             total = total + permute_factors(perm, t).scale(perm.sign)
         assert antisymmetrize(t) == total.scale(Fraction(1, 6))
 
+    def test_order_past_the_group_bound_is_refused(self):
+        # dim 1 passes the dense-size guard at any order; the group is 9! elements
+        with pytest.raises(SizeGuardError):
+            antisymmetrize(Tensor(9, 1, [1]))
+
 
 class TestPositiveEquations:
     def test_discrete_partition_acts_as_identity(self):
@@ -151,6 +156,9 @@ class TestSlotSystem:
     def test_eigencheck(self):
         for mu1 in range(1, 11):
             assert slot_system_eigencheck(mu1)
+
+    def test_largest_system_is_within_the_det_bound(self):
+        assert slot_system_det(64) == 64
 
     def test_guards(self):
         with pytest.raises(SizeGuardError):

@@ -61,6 +61,11 @@ class TestPfaffian:
     def test_empty(self):
         assert pfaffian([]) == 1
 
+    def test_det_size_guard_fires_before_the_copy(self):
+        # a float entry would fail the copy with TypeError
+        with pytest.raises(SizeGuardError):
+            det_exact([[0.5]] * 66)
+
     @settings(max_examples=30)
     @given(seeds, st.sampled_from([2, 4, 6, 8]))
     def test_square_is_the_determinant(self, seed, size):

@@ -23,6 +23,7 @@ from schurdet import (
     standard_tableau_count,
     young_symmetrizer,
 )
+from schurdet import perm_algebra
 from schurdet.perm_algebra import multiply
 from oracles import reference_central_sum, reference_multiply
 
@@ -267,6 +268,20 @@ class TestTableauGroups:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             young_symmetrizer(P(5, 4))
+
+    def test_enumeration_guard_fires_before_a_permutation_is_built(self, monkeypatch):
+        def refuse(images):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(perm_algebra, "Permutation", refuse)
+        with pytest.raises(SizeGuardError):
+            all_permutations(9)
+        with pytest.raises(SizeGuardError):
+            row_group(P(9))
+        with pytest.raises(SizeGuardError):
+            column_group(P(5, 4))
+        with pytest.raises(SizeGuardError):
+            positive_element(SetPartition([range(1, 10)]))
 
 
 class TestPositiveElement:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurdet import (
@@ -29,7 +29,12 @@ from schurdet.perm_algebra import AlgebraElement
 from schurdet import tensor_space
 from schurdet.tensor_space import contract_first
 
-from oracles import reference_algebra_action, reference_contract_first, reference_evaluate
+from oracles import (
+    reference_algebra_action,
+    reference_contract_first,
+    reference_evaluate,
+    reference_slot_slice,
+)
 
 
 def P(*parts):
@@ -50,6 +55,13 @@ def fraction_tensors(draw, orders=st.integers(1, 3), dims=st.integers(1, 3)):
     order, dim = draw(orders), draw(dims)
     size = dim**order
     return Tensor(order, dim, draw(st.lists(fractions, min_size=size, max_size=size)))
+
+
+@st.composite
+def tensors_with_vectors(draw):
+    t = draw(fraction_tensors())
+    vector = st.lists(fractions, min_size=t.dim, max_size=t.dim)
+    return t, [draw(vector) for _ in range(t.order)]
 
 
 @st.composite
@@ -261,6 +273,21 @@ class TestDenominatorClearing:
         vector = st.lists(fractions, min_size=t.dim, max_size=t.dim)
         vecs = [data.draw(vector) for _ in range(t.order)]
         assert evaluate(t, vecs) == reference_evaluate(t, vecs)
+
+    @settings(max_examples=60)
+    @given(tensors_with_vectors())
+    @example((Tensor(1, 3, [F(1) / 2, F(-2) / 3, F(5)]), [None]))
+    @example((Tensor(3, 1, [F(-7) / 2]), [(F(2) / 3,), (F(-1) / 5,), (F(3) / 4,)]))
+    def test_slot_slice(self, case):
+        t, vecs = case
+        for slot in range(1, t.order + 1):
+            free = list(vecs)
+            free[slot - 1] = None
+            assert slot_slice(t, free, slot) == reference_slot_slice(t, vecs, slot)
+            if slot < t.order:
+                free[-1] = list(free[-1]) + [F(1)]
+                with pytest.raises(ValueError):
+                    slot_slice(t, free, slot)
 
     def test_projection_of_a_fraction_tensor(self):
         t = Tensor(3, 2, [F(k - 4) / (k + 1) for k in range(8)])
