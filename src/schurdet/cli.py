@@ -45,7 +45,7 @@ from .linalg import det_exact
 from .partitions import Partition, all_partitions, critical_set, is_exceptional
 from .perm_algebra import all_permutations
 from .rational import as_fraction
-from .rng import derived_seed
+from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
     permute_factors,
@@ -135,12 +135,11 @@ def run_lemma1(config: SuiteConfig) -> dict:
 def run_t2(config: SuiteConfig) -> dict:
     trials = config.trials_for("t2")
     checks = []
-    index = 0
+    seeds = SplitMix64(config.seed)
     for lam in all_partitions(config.order):
         ok = True
         for _ in range(trials):
-            tensor = random_tensor(config.order, config.dim, derived_seed(config.seed, index))
-            index += 1
+            tensor = random_tensor(config.order, config.dim, seeds.next_u64())
             projected = project_isotypic(lam, tensor)
             if not critical_equations_hold(lam, projected):
                 ok = False
@@ -163,8 +162,9 @@ def run_main(config: SuiteConfig) -> dict:
     ]
     checks = []
     notes = []
-    for i, lam in enumerate(shapes):
-        report = degeneracy_sweep(lam, config.dim, trials, derived_seed(config.seed, i))
+    seeds = SplitMix64(config.seed)
+    for lam in shapes:
+        report = degeneracy_sweep(lam, config.dim, trials, seeds.next_u64())
         checks.append(
             {
                 "name": str(lam),
@@ -187,12 +187,11 @@ def run_main(config: SuiteConfig) -> dict:
 def run_pfaffian(config: SuiteConfig) -> dict:
     trials = config.trials_for("pfaffian")
     checks = []
-    index = 0
+    seeds = SplitMix64(config.seed)
     for size in PFAFFIAN_SIZES:
         ok = True
         for _ in range(trials):
-            matrix = random_skew_matrix(size, derived_seed(config.seed, index))
-            index += 1
+            matrix = random_skew_matrix(size, seeds.next_u64())
             if pfaffian(matrix) ** 2 != det_exact(matrix):
                 ok = False
         checks.append({"name": f"size={size}", "pass": ok})
@@ -218,17 +217,18 @@ def run_hyperdet222(config: SuiteConfig) -> dict:
     )
 
     ok = True
-    for k in range(trials):
-        base = derived_seed(config.seed, k)
-        vectors = [random_vector(2, derived_seed(base, j), nonzero=True) for j in range(3)]
+    seeds = SplitMix64(config.seed)
+    for _ in range(trials):
+        factor_seeds = SplitMix64(seeds.next_u64())
+        vectors = [random_vector(2, factor_seeds.next_u64(), nonzero=True) for _ in range(3)]
         if hyperdet_222(rank_one(vectors)) != 0:
             ok = False
     checks.append({"name": "rank-one", "pass": ok})
 
     invariant_ok = True
     homogeneity_ok = True
-    for k in range(trials):
-        tensor = random_tensor(3, 2, derived_seed(config.seed, trials + k))
+    for _ in range(trials):
+        tensor = random_tensor(3, 2, seeds.next_u64())
         value = hyperdet_222(tensor)
         for perm in all_permutations(3):
             if hyperdet_222(permute_factors(perm, tensor)) != value:

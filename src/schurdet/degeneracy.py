@@ -18,7 +18,7 @@ from .errors import InvalidWitnessError, SizeGuardError
 from .linalg import Matrix, det_exact, rank_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
 from .perm_algebra import AlgebraElement, all_permutations, positive_element
-from .rng import derived_seed
+from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
     Vector,
@@ -246,12 +246,14 @@ def degeneracy_sweep(
         raise ValueError("trials must be at least 1")
     failures: list[CheckFailure] = []
     witnesses = 0
-    for k in range(trials):
-        trial_seed = derived_seed(seed, k)
-        tensor = random_tensor(p, dim, derived_seed(trial_seed, 0))
+    trial_seeds = SplitMix64(seed)
+    for _ in range(trials):
+        trial_seed = trial_seeds.next_u64()
+        inputs = SplitMix64(trial_seed)
+        tensor = random_tensor(p, dim, inputs.next_u64())
         projected = project_isotypic(lam, tensor)
-        x = random_vector(dim, derived_seed(trial_seed, 1), nonzero=True)
-        y = random_vector(dim, derived_seed(trial_seed, 2))
+        x = random_vector(dim, inputs.next_u64(), nonzero=True)
+        y = random_vector(dim, inputs.next_u64())
 
         for pi in critical_equation_failures(lam, projected):
             failures.append(

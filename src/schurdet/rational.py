@@ -1,4 +1,5 @@
-"""Exact rational scalars. Everything in this package is a fractions.Fraction."""
+"""Exact rational scalars: every scalar the package takes or hands out is a Fraction;
+inside, a `Tensor` and the kernels hold integer numerators over one denominator."""
 
 import re
 from fractions import Fraction

@@ -10,8 +10,8 @@ language.  State is a 64-bit integer.  One step:
     output = z XOR (z >> 31)
 
 Bounded draws use rejection sampling on the top of the 64-bit range, so they
-are exactly uniform.  Sub-case seeds are derived by taking successive raw
-outputs of a generator seeded with the parent seed (``derived_seed``).
+are exactly uniform.  Sub-case seeds are successive raw outputs of one
+generator seeded with the parent seed; ``derived_seed`` names the k-th.
 """
 
 _MASK64 = (1 << 64) - 1

@@ -8,15 +8,17 @@ Slots are numbered 1..p, matching the points permutations act on.  The action
 is (sigma . A)_{i_1 ... i_p} = A_{i_{sigma(1)} ... i_{sigma(p)}}, which makes
 (sigma tau) . A = sigma . (tau . A) under the package's composition convention.
 
-Scalars are exact Fractions at the API; algebra_action, contract_first and
-slot_slice run their inner loops on integer numerators over one denominator.
+A Tensor stores integer numerators over one positive denominator in lowest
+terms, and the kernels here work on those integers; scalars are Fractions at
+the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
@@ -28,6 +30,7 @@ from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
 MAX_RANK_SIZE = 1024
+MAX_TENSOR_BITS = 1 << 22  # bound on size * bit length of the common denominator
 
 Vector = tuple[Fraction, ...]
 
@@ -60,26 +63,47 @@ def _dense_size(order: int, dim: int) -> int:
 
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable dense tensor with rational entries."""
+    """Immutable dense tensor nums[i] / den, den > 0 and gcd(den, *nums) == 1, so
+    the form is canonical: equality and hashing compare the fields.  `entries`
+    is the read-only Fraction view, built on the first read."""
 
     order: int
     dim: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, order: int, dim: int, entries: Iterable):
         if order < 1:
             raise ValueError("order must be positive")
         size = _dense_size(order, dim)
-        entries = tuple(as_fraction(v) for v in entries)
-        if len(entries) != size:
-            raise ValueError(f"expected {size} entries, got {len(entries)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
+        values = [as_fraction(v) for v in entries]
+        if len(values) != size:
+            raise ValueError(f"expected {size} entries, got {len(values)}")
+        den = 1
+        for d in {v.denominator for v in values}:
+            if (den := lcm(den, d)).bit_length() * size > MAX_TENSOR_BITS:
+                raise SizeGuardError(f"common denominator passes {MAX_TENSOR_BITS // size} bits")
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        # frozen: the fields go straight into the instance dict, here and below
+        vars(self).update(order=order, dim=dim, nums=tuple(nums), den=den)
+
+    @classmethod
+    def _from_ints(cls, order: int, dim: int, nums: Sequence[int], den: int) -> Tensor:
+        """The tensor nums[i] / den (den > 0, length unchecked), in lowest terms."""
+        common = gcd(den, *nums)
+        if common != 1:
+            nums, den = [v // common for v in nums], den // common
+        tensor = object.__new__(cls)
+        vars(tensor).update(order=order, dim=dim, nums=tuple(nums), den=den)
+        return tensor
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @classmethod
     def zero(cls, order: int, dim: int) -> Tensor:
-        return cls(order, dim, [Fraction(0)] * _dense_size(order, dim))
+        return cls._from_ints(order, dim, [0] * _dense_size(order, dim), 1)
 
     @classmethod
     def from_map(cls, order: int, dim: int, assignments: dict) -> Tensor:
@@ -101,31 +125,27 @@ class Tensor:
         return flat
 
     def entry(self, indices: tuple[int, ...]) -> Fraction:
-        return self.entries[self._flat(self.dim, self.order, indices)]
+        return Fraction(self.nums[self._flat(self.dim, self.order, indices)], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
+        return not any(self.nums)
 
     def __add__(self, other: Tensor) -> Tensor:
-        self._check_same_space(other)
-        return Tensor(
-            self.order, self.dim, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        if self.order != other.order or self.dim != other.dim:
+            raise ValueError("tensors live in different spaces")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = [a * x + b * y for x, y in zip(self.nums, other.nums)]
+        return Tensor._from_ints(self.order, self.dim, nums, den)
 
     def __sub__(self, other: Tensor) -> Tensor:
-        self._check_same_space(other)
-        return Tensor(
-            self.order, self.dim, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        return self + other.scale(-1)
 
     def scale(self, scalar) -> Tensor:
         scalar = as_fraction(scalar)
-        return Tensor(self.order, self.dim, [scalar * v for v in self.entries])
-
-    def _check_same_space(self, other: Tensor) -> None:
-        if self.order != other.order or self.dim != other.dim:
-            raise ValueError("tensors live in different spaces")
+        nums = [scalar.numerator * v for v in self.nums]
+        return Tensor._from_ints(self.order, self.dim, nums, scalar.denominator * self.den)
 
     def to_json_obj(self) -> dict:
         return {
@@ -189,9 +209,8 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
     if perm.degree != tensor.order:
         raise ValueError("permutation degree must equal the tensor order")
     table = _perm_table(perm.images, tensor.dim)
-    return Tensor(
-        tensor.order, tensor.dim, [tensor.entries[s] for s in table]
-    )
+    nums = tensor.nums
+    return Tensor._from_ints(tensor.order, tensor.dim, [nums[s] for s in table], tensor.den)
 
 
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
@@ -204,7 +223,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
     coeffs, coeff_den = common_denominator([coeff for _, coeff in element.terms()])
-    entries, entry_den = common_denominator(tensor.entries)
+    entries = tensor.nums
     groups: dict[int, list[int]] = {}
     for (perm, _), coeff in zip(element.terms(), coeffs):
         table = _perm_table(perm.images, tensor.dim)
@@ -216,8 +235,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     out = [0] * len(entries)
     for coeff, summed in groups.items():
         out = [o + coeff * a for o, a in zip(out, summed)]
-    den = coeff_den * entry_den
-    return Tensor(tensor.order, tensor.dim, [Fraction(v, den) for v in out])
+    return Tensor._from_ints(tensor.order, tensor.dim, out, coeff_den * tensor.den)
 
 
 def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
@@ -226,18 +244,17 @@ def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
     if len(vec) != tensor.dim:
         raise ValueError("vector length must equal the tensor dimension")
     weights, weight_den = common_denominator(vec)
-    entries, entry_den = common_denominator(tensor.entries)
+    entries = tensor.nums
     block = tensor.dim ** (tensor.order - 1)
     out = [0] * block
     for d, weight in enumerate(weights):
         if weight:
             row = entries[d * block : (d + 1) * block]
             out = [o + weight * e for o, e in zip(out, row)]
-    den = weight_den * entry_den
-    values = [Fraction(v, den) for v in out]
+    den = weight_den * tensor.den
     if tensor.order == 1:
-        return values[0]
-    return Tensor(tensor.order - 1, tensor.dim, values)
+        return Fraction(out[0], den)
+    return Tensor._from_ints(tensor.order - 1, tensor.dim, out, den)
 
 
 def evaluate(tensor: Tensor, vectors: Sequence[Sequence]) -> Fraction:
@@ -266,7 +283,7 @@ def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> Vector:
     for vec in vectors[: slot - 1]:
         current = contract_first(current, vec)
     dim = tensor.dim
-    entries, den = common_denominator(current.entries)
+    entries, den = current.nums, current.den
     for vec in reversed(vectors[slot:]):
         weights, weight_den = common_denominator(make_vector(vec))
         if len(weights) != dim:
@@ -313,7 +330,7 @@ def random_tensor(order: int, dim: int, seed: int) -> Tensor:
     """Seeded tensor with integer entries in [-9, 9], drawn in flat entry order."""
     size = _dense_size(order, dim)
     rng = SplitMix64(seed)
-    return Tensor(order, dim, [Fraction(rng.next_int(-9, 9)) for _ in range(size)])
+    return Tensor._from_ints(order, dim, [rng.next_int(-9, 9) for _ in range(size)], 1)
 
 
 def random_vector(dim: int, seed: int, nonzero: bool = False) -> Vector:

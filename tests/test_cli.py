@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -213,6 +214,14 @@ class TestHyperdetCommand:
     def test_oversized_det(self, capsys, tmp_path):
         path = self.write(tmp_path, "m.json", [[0] * 66] * 66)
         assert "65" in self.input_error(capsys, "--input", path, "--det")
+
+    def test_denominators_past_the_bound(self, capsys, tmp_path):
+        """A 4 MB order-12 document whose entries share no denominator exits promptly."""
+        entries = [f"1/{10**997 + 2 * k + 1}" for k in range(4096)]
+        path = self.write(tmp_path, "t.json", {"order": 12, "dim": 2, "entries": entries})
+        start = time.perf_counter()
+        assert "common denominator" in self.input_error(capsys, "--input", path)
+        assert time.perf_counter() - start < 10
 
     def test_oversized_order(self, capsys, tmp_path):
         tensor = {"order": 2_000_000, "dim": 2, "entries": ["0"]}

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -294,6 +295,96 @@ class TestDenominatorClearing:
         for lam in all_partitions(3):
             projector, _ = isotypic_projector(lam)
             assert project_isotypic(lam, t) == reference_algebra_action(projector, t)
+
+
+def assert_canonical(t):
+    assert t.den > 0
+    assert math.gcd(t.den, *t.nums) == 1
+    assert len(t.nums) == len(t.entries) == t.dim**t.order
+    assert Tensor(t.order, t.dim, t.entries) == t
+
+
+class TestCanonicalForm:
+    """One representation: integer numerators over a positive least denominator."""
+
+    @settings(max_examples=60)
+    @given(fraction_tensors())
+    def test_lowest_terms(self, t):
+        assert_canonical(t)
+        assert all(F(v) / t.den == e for v, e in zip(t.nums, t.entries))
+
+    @settings(max_examples=60)
+    @given(fraction_tensors())
+    def test_equal_entries_are_equal_and_hash_equally(self, t):
+        identity = Permutation(range(1, t.order + 1))
+        zero = Tensor.zero(t.order, t.dim)
+        built = [
+            Tensor(t.order, t.dim, [str(v) for v in t.entries]),
+            Tensor.from_json_obj(t.to_json_obj()),
+            Tensor.from_map(
+                t.order,
+                t.dim,
+                {idx: t.entry(idx) for idx in itertools.product(range(t.dim), repeat=t.order)},
+            ),
+            t + zero,
+            t - zero,
+            t + t - t,
+            t.scale(6).scale(F(1) / 6),
+            permute_factors(identity, t),
+            algebra_action(AlgebraElement(t.order, {identity: F(1)}), t),
+        ]
+        for other in built:
+            assert other == t
+            assert hash(other) == hash(t)
+            assert (other.nums, other.den) == (t.nums, t.den)
+
+    def test_zero_has_denominator_one(self):
+        halves = Tensor(2, 2, [F(1) / 2] * 4)
+        zeros = [Tensor.zero(2, 2), halves - halves, halves.scale(0), Tensor(2, 2, ["0/7"] * 4)]
+        for zero in zeros:
+            assert zero.is_zero
+            assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+            assert zero == Tensor.zero(2, 2)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_kernel_outputs_are_canonical(self, data):
+        t = data.draw(fraction_tensors())
+        other = data.draw(fraction_tensors(st.just(t.order), st.just(t.dim)))
+        perm = Permutation(data.draw(st.permutations(range(1, t.order + 1))))
+        vec = data.draw(st.lists(fractions, min_size=t.dim, max_size=t.dim))
+        outputs = [
+            algebra_action(data.draw(elements(t.order)), t),
+            permute_factors(perm, t),
+            t + other,
+            t - other,
+            t.scale(data.draw(fractions)),
+        ]
+        if t.order > 1:
+            outputs.append(contract_first(t, vec))
+        for out in outputs:
+            assert_canonical(out)
+
+    def test_attributes_are_read_only(self):
+        t = Tensor(2, 2, [F(1) / 2, 1, 2, 3])
+        for name in ("order", "dim", "nums", "den", "entries", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, 1)
+        assert t == Tensor(2, 2, [F(1) / 2, 1, 2, 3])
+
+    def test_common_denominator_is_bounded(self):
+        # 4096 entries 1/d with 998-digit d sharing few factors: the lcm would
+        # run to millions of bits, so the guard refuses before building it.
+        entries = [f"1/{10**997 + 2 * k + 1}" for k in range(4096)]
+        with pytest.raises(SizeGuardError, match="1024 bits"):
+            Tensor(12, 2, entries)
+
+    def test_longest_text_entries_fit_a_222_tensor(self):
+        digits = "9" * 499
+        entries = [f"{digits}/{10**498 + 2 * k + 1}" for k in range(8)]
+        t = Tensor(3, 2, entries)
+        assert t.entries == tuple(F(v) for v in entries)
+        assert t.den.bit_length() > 8 * 1600
 
 
 class TestDimensionOne:
