@@ -44,7 +44,6 @@ from .hyperdet import (
 from .linalg import det_exact
 from .partitions import Partition, all_partitions, critical_set, is_exceptional
 from .perm_algebra import all_permutations
-from .rational import as_fraction
 from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
@@ -306,13 +305,11 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _parse_matrix(obj) -> list[list[Fraction]]:
+def _parse_matrix(obj) -> list[list]:
+    """The rows as given; det_exact and pfaffian check the shape, then read the entries."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise UsageError("matrix document must be a list of rows")
-    try:
-        return [[as_fraction(v) for v in row] for row in obj]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad matrix entry: {exc}") from exc
+    return obj
 
 
 def cmd_hyperdet(args) -> int:

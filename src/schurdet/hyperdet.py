@@ -45,29 +45,21 @@ def det2(matrix: Sequence[Sequence]) -> Fraction:
     return a * d - b * c
 
 
-def _check_skew(matrix: list[list[Fraction]]) -> None:
-    size = len(matrix)
-    for row in matrix:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    for i in range(size):
-        for j in range(size):
-            if matrix[i][j] != -matrix[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
-
-
 def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
     """Pfaffian of an even-size skew-symmetric matrix, by first-row expansion.
 
-    Squares to the determinant.
+    Squares to the determinant.  The shape is checked before any entry is read.
     """
-    rows = [[as_fraction(v) for v in row] for row in matrix]
-    size = len(rows)
+    size = len(matrix)
     if size % 2:
         raise ValueError("Pfaffian needs an even-size matrix")
     if size > MAX_PFAFFIAN:
         raise SizeGuardError(f"pfaffian supports size <= {MAX_PFAFFIAN}")
-    _check_skew(rows)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("matrix must be square")
+    rows = [[as_fraction(v) for v in row] for row in matrix]
+    if any(rows[i][j] != -rows[j][i] for i in range(size) for j in range(size)):
+        raise ValueError("matrix is not skew-symmetric")
     return _pfaffian_recursive(rows)
 
 

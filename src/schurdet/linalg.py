@@ -1,88 +1,90 @@
-"""Exact linear algebra over the rationals: Gaussian elimination, det, rank.
+"""Exact rank/determinant by fraction-free integer elimination.
 
 Matrices are plain lists of row lists; entries anything ``as_fraction`` takes.
-No pivoting strategy beyond "first nonzero" is needed since arithmetic is exact.
+Each row is cleared of denominators once; below a pivot p, a row with lead l
+becomes (a*row - b*pivot_row) / content, where g = gcd(p, l), a = p/g, b = l/g.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import SizeGuardError
-from .rational import as_fraction
+from .rational import as_fraction, common_denominator
 
 MAX_DET_SIZE = 65
+MAX_MATRIX_BITS = 1 << 22  # bound on the sum of row length * bit length of the row denominator
 
 Matrix = list[list[Fraction]]
 
 
-def copy_matrix(rows) -> Matrix:
-    out = [[as_fraction(x) for x in row] for row in rows]
-    if out and any(len(row) != len(out[0]) for row in out):
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row times the least positive integer that clears it, and their product.
+
+    The shape is checked before any entry is read; the rows' denominators
+    share one MAX_MATRIX_BITS budget, as a `Tensor`'s does.
+    """
+    m = [list(row) for row in rows]
+    if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
-    return out
+    scale, budget = 1, MAX_MATRIX_BITS
+    for i, row in enumerate(m):
+        if not set(map(type, row)) <= {int}:
+            m[i], den = common_denominator([as_fraction(x) for x in row], budget)
+            budget -= den.bit_length() * len(row)
+            scale *= den
+    return m, scale
 
 
-def _eliminate(m: Matrix) -> tuple[int, int]:
-    """Reduce m to row echelon form in place; return (rank, parity of row swaps)."""
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank = 0
-    swaps = 0
+def _eliminate(m: list[list[int]]) -> tuple[int, int, int]:
+    """Reduce m to row echelon form; return (rank, num, den), det(m) = num / den if square."""
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    rank, num, den = 0, 1, 1
     for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if m[r][col]:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            swaps += 1
+            num = -num
         pivot = m[rank][col]
+        num *= pivot
+        support = [(c, y) for c, y in enumerate(m[rank]) if y]
         for r in range(rank + 1, n_rows):
             lead = m[r][col]
             if not lead:
                 continue
-            factor = lead / pivot
-            row, prow = m[r], m[rank]
-            for c in range(col, n_cols):
-                if prow[c]:
-                    row[c] -= factor * prow[c]
+            g = gcd(pivot, lead)
+            a, b = pivot // g, lead // g
+            row = m[r] if a == 1 else [a * x for x in m[r]]
+            for c, y in support:  # pivot rows are sparse: touch only their nonzeros
+                row[c] -= b * y
+            content = gcd(*row)
+            if content > 1:
+                row = [x // content for x in row]
+                num *= content
+            m[r] = row
+            den *= a
         rank += 1
-        if rank == n_rows:
-            break
-    return rank, swaps
+    return rank, num, den
 
 
 def rank_exact(rows) -> int:
-    """Rank over the rationals, by exact elimination."""
-    m = copy_matrix(rows)
-    if not m:
-        return 0
-    rank, _ = _eliminate(m)
-    return rank
+    """Rank over the rationals, by fraction-free integer elimination."""
+    return _eliminate(_integer_rows(rows)[0])[0]
 
 
 def det_exact(rows) -> Fraction:
-    """Determinant of a square matrix, by exact elimination.
+    """Determinant of a square matrix, by fraction-free integer elimination.
 
-    More than MAX_DET_SIZE rows (the largest slot system has 65) is refused
-    before any entry is copied.
+    More than MAX_DET_SIZE rows (the largest slot system has 65), or a matrix
+    that is not square, is refused before any entry is read.
     """
     if len(rows) > MAX_DET_SIZE:
         raise SizeGuardError(
             f"determinant supports at most {MAX_DET_SIZE} rows, got {len(rows)}"
         )
-    m = copy_matrix(rows)
-    size = len(m)
-    if any(len(row) != size for row in m):
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if size == 0:
-        return Fraction(1)
-    rank, swaps = _eliminate(m)
-    if rank < size:
-        return Fraction(0)
-    det = Fraction(-1) ** swaps
-    for i in range(size):
-        det *= m[i][i]
-    return det
+    m, scale = _integer_rows(rows)
+    rank, num, den = _eliminate(m)
+    return Fraction(num, den * scale) if rank == len(m) else Fraction(0)

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .errors import SizeGuardError
+
 MAX_RATIONAL_TEXT = 1000
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -33,7 +35,14 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers nums and den with values[i] == nums[i] / den, den the least such."""
-    den = lcm(*{v.denominator for v in values})
+def common_denominator(
+    values: Sequence[Fraction], max_bits: int | None = None
+) -> tuple[list[int], int]:
+    """Integers nums and den with values[i] == nums[i] / den, den the least such;
+    SizeGuardError once len(values) * den.bit_length() passes a given max_bits."""
+    den = 1
+    for d in {v.denominator for v in values}:
+        den = lcm(den, d)
+        if max_bits is not None and den.bit_length() * len(values) > max_bits:
+            raise SizeGuardError(f"common denominator passes {max_bits // len(values)} bits")
     return [v.numerator * (den // v.denominator) for v in values], den

@@ -79,11 +79,7 @@ class Tensor:
         values = [as_fraction(v) for v in entries]
         if len(values) != size:
             raise ValueError(f"expected {size} entries, got {len(values)}")
-        den = 1
-        for d in {v.denominator for v in values}:
-            if (den := lcm(den, d)).bit_length() * size > MAX_TENSOR_BITS:
-                raise SizeGuardError(f"common denominator passes {MAX_TENSOR_BITS // size} bits")
-        nums = [v.numerator * (den // v.denominator) for v in values]
+        nums, den = common_denominator(values, MAX_TENSOR_BITS)
         # frozen: the fields go straight into the instance dict, here and below
         vars(self).update(order=order, dim=dim, nums=tuple(nums), den=den)
 
@@ -307,9 +303,10 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
 def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space.
 
-    The rank is taken of a dense size x size matrix, so size is capped at
-    MAX_RANK_SIZE (about a million cells) before the projector or any row is
-    built.
+    The rank of the projector's matrix, filled with its integer coefficient
+    numerators over one common denominator and reduced by `rank_exact`.  The
+    matrix is dense size x size, so size is capped at MAX_RANK_SIZE (about a
+    million cells) before the projector or any row is built.
     """
     size = _dense_size(lam.weight, dim)
     if size > MAX_RANK_SIZE:
@@ -318,8 +315,9 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
             f"{MAX_RANK_SIZE} x {MAX_RANK_SIZE} is supported"
         )
     projector, _ = isotypic_projector(lam)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for perm, coeff in projector.terms():
+    coeffs, _ = common_denominator([coeff for _, coeff in projector.terms()])
+    matrix = [[0] * size for _ in range(size)]
+    for (perm, _), coeff in zip(projector.terms(), coeffs):
         table = _perm_table(perm.images, dim)
         for f, s in enumerate(table):
             matrix[f][s] += coeff

@@ -4,9 +4,10 @@ Each of these computes a value by a route the library deliberately does not
 use: closed-form counting formulas, the fully expanded quartic invariant,
 plain Fraction loops over multi-indices for the slot action, contraction and
 slicing, and over term pairs for the group algebra product (the library runs
-those on integer numerators over one denominator), and the central sum of the
+those on integer numerators over one denominator), the central sum of the
 Young symmetrizer by explicit conjugation (the library builds it as a class
-function).
+function), and rank and determinant by Fraction Gaussian elimination (the
+library eliminates fraction-free on integers).
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -14,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from schurdet import Partition, Tensor
+from schurdet import Partition, Tensor, as_fraction
 from schurdet.perm_algebra import AlgebraElement, all_permutations, young_symmetrizer
 
 
@@ -152,3 +153,69 @@ def reference_multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraEl
             perm = sigma * tau
             terms[perm] = terms.get(perm, Fraction(0)) + a * b
     return AlgebraElement(left.degree, terms)
+
+
+def _fraction_matrix(rows) -> list[list[Fraction]]:
+    out = [[as_fraction(x) for x in row] for row in rows]
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise ValueError("ragged matrix")
+    return out
+
+
+def _fraction_eliminate(m: list[list[Fraction]]) -> tuple[int, int]:
+    """Reduce m to row echelon form in place; return (rank, parity of row swaps)."""
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    rank = 0
+    swaps = 0
+    for col in range(n_cols):
+        pivot_row = None
+        for r in range(rank, n_rows):
+            if m[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            swaps += 1
+        pivot = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            lead = m[r][col]
+            if not lead:
+                continue
+            factor = lead / pivot
+            row, prow = m[r], m[rank]
+            for c in range(col, n_cols):
+                if prow[c]:
+                    row[c] -= factor * prow[c]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank, swaps
+
+
+def reference_rank(rows) -> int:
+    """Rank over the rationals, by Gaussian elimination on Fractions."""
+    m = _fraction_matrix(rows)
+    if not m:
+        return 0
+    rank, _ = _fraction_eliminate(m)
+    return rank
+
+
+def reference_det(rows) -> Fraction:
+    """Determinant of a square matrix, by Gaussian elimination on Fractions."""
+    m = _fraction_matrix(rows)
+    size = len(m)
+    if any(len(row) != size for row in m):
+        raise ValueError("determinant needs a square matrix")
+    if size == 0:
+        return Fraction(1)
+    rank, swaps = _fraction_eliminate(m)
+    if rank < size:
+        return Fraction(0)
+    det = Fraction(-1) ** swaps
+    for i in range(size):
+        det *= m[i][i]
+    return det

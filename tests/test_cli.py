@@ -150,6 +150,12 @@ class TestHyperdetCommand:
         assert code == 0
         assert json.loads(out)["value"] == "9"
 
+    def test_det_mode_rational_entries(self, capsys, tmp_path):
+        path = self.write(tmp_path, "m.json", [["1/2", 3], ["-2/3", "5/4"]])
+        code, out, _ = run(capsys, "hyperdet", "--input", path, "--det")
+        assert code == 0
+        assert out.strip() == "21/8"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "hyperdet", "--input", str(tmp_path / "no.json"))
         assert code == 2
@@ -215,12 +221,31 @@ class TestHyperdetCommand:
         path = self.write(tmp_path, "m.json", [[0] * 66] * 66)
         assert "65" in self.input_error(capsys, "--input", path, "--det")
 
+    @pytest.mark.parametrize("mode, size, bound", [("--det", 66, "65"), ("--pfaffian", 10, "8")])
+    def test_size_guard_fires_before_any_entry_is_read(self, capsys, tmp_path, mode, size, bound):
+        # a float entry would be refused as a bad entry if it were read first
+        path = self.write(tmp_path, "m.json", [[0.5] * size] * size)
+        assert bound in self.input_error(capsys, "--input", path, mode)
+
     def test_denominators_past_the_bound(self, capsys, tmp_path):
         """A 4 MB order-12 document whose entries share no denominator exits promptly."""
         entries = [f"1/{10**997 + 2 * k + 1}" for k in range(4096)]
         path = self.write(tmp_path, "t.json", {"order": 12, "dim": 2, "entries": entries})
         start = time.perf_counter()
         assert "common denominator" in self.input_error(capsys, "--input", path)
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize(
+        "shape, message", [((1, 4096), "square"), ((65, 65), "common denominator")],
+        ids=["one-row", "65x65"],
+    )
+    def test_det_denominators_past_the_bound(self, capsys, tmp_path, shape, message):
+        """Coprime 998-digit denominators in the first row exit promptly."""
+        n_rows, n_cols = shape
+        first = [f"1/{10**997 + 2 * k + 1}" for k in range(n_cols)]
+        path = self.write(tmp_path, "m.json", [first] + [[0] * n_cols] * (n_rows - 1))
+        start = time.perf_counter()
+        assert message in self.input_error(capsys, "--input", path, "--det")
         assert time.perf_counter() - start < 10
 
     def test_oversized_order(self, capsys, tmp_path):

@@ -63,8 +63,13 @@ class TestPfaffian:
 
     def test_det_size_guard_fires_before_the_copy(self):
         # a float entry would fail the copy with TypeError
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError, match="65"):
             det_exact([[0.5]] * 66)
+
+    def test_pfaffian_size_guard_fires_before_the_copy(self):
+        # a float entry would fail the copy with TypeError
+        with pytest.raises(SizeGuardError):
+            pfaffian([[0.5] * 10] * 10)
 
     @settings(max_examples=30)
     @given(seeds, st.sampled_from([2, 4, 6, 8]))

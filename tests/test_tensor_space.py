@@ -31,10 +31,12 @@ from schurdet import tensor_space
 from schurdet.tensor_space import contract_first
 
 from oracles import (
+    hook_length_count,
     reference_algebra_action,
     reference_contract_first,
     reference_evaluate,
     reference_slot_slice,
+    ssyt_count,
 )
 
 
@@ -469,6 +471,14 @@ class TestIsotypicRank:
         assert isotypic_rank(P(2, 1), 3) == 16
         assert isotypic_rank(P(1, 1, 1), 3) == 1
         assert isotypic_rank(P(1, 1, 1), 2) == 0
+
+    @pytest.mark.parametrize("order, dim", [(5, 2), (5, 3), (6, 2)])
+    def test_benchmark_sizes_against_the_two_route_count(self, order, dim):
+        # the sizes the algebra benchmark ranks, plus order 6 at dim 2
+        ranks = {lam: isotypic_rank(lam, dim) for lam in all_partitions(order)}
+        for lam, rank in ranks.items():
+            assert rank == hook_length_count(lam) * ssyt_count(lam, dim)
+        assert sum(ranks.values()) == dim**order
 
     def test_rank_zero_iff_too_many_rows(self):
         for order in (2, 3, 4):
