@@ -1,4 +1,5 @@
-"""Young diagrams, set partitions, dominance order, and critical sets.
+"""Young diagrams and their characters, set partitions, dominance order, and
+critical sets.
 
 Two different "partitions" live here and never mix:
 
@@ -7,8 +8,9 @@ Two different "partitions" live here and never mix:
 * ``SetPartition`` — a partition of the index set {1, ..., p} into disjoint
   nonempty blocks, kept in a canonical form so equality is structural.
 
-Size guards keep everything exact and fast: enumeration is limited to
-weight 12, exhaustive tableau counting to weight 8.
+Tableau counts are characters at the identity.  Size guards keep everything
+exact and fast: enumeration and characters stop at weight 12, tableau counts
+at weight 8.
 """
 
 from __future__ import annotations
@@ -201,33 +203,44 @@ def critical_set(lam: Partition) -> frozenset[Partition]:
 
 
 @lru_cache(maxsize=None)
-def standard_tableau_count(lam: Partition) -> int:
-    """Number of standard tableaux of shape lam, by exhaustive enumeration.
+def character(lam: Partition, cycle_type: tuple[int, ...]) -> int:
+    """The irreducible character of lam at a permutation of the given cycle type.
 
-    Places the values 1..p one at a time; a value may go at the end of row i
-    whenever the row has space and the row above is strictly longer so far,
-    which is exactly the rows-and-columns-increasing condition.  This is also
-    the dimension of the irreducible symmetric-group module for lam.
+    Murnaghan-Nakayama on the beta-numbers b_i = lam_i + rows - 1 - i:
+    removing a border strip of length r moves one b to the free slot b - r,
+    with sign (-1) to the number of beta-numbers it jumps over.  The cycle
+    lengths are removed in the order given; the value does not depend on it.
     """
+    if lam.weight > MAX_ENUMERATION_WEIGHT:
+        raise SizeGuardError(
+            f"character supports weight <= {MAX_ENUMERATION_WEIGHT}, got {lam.weight}"
+        )
+    if any(r < 1 for r in cycle_type) or sum(cycle_type) != lam.weight:
+        raise ValueError(f"{cycle_type} is not a cycle type of weight {lam.weight}")
+    if not cycle_type:
+        return 1
+    r, rest = cycle_type[0], cycle_type[1:]
+    top = lam.rows - 1
+    beta = [v + top - i for i, v in enumerate(lam.parts)]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        moved = sorted((b - r if c == b else c for c in beta), reverse=True)
+        smaller = Partition(v for v in (c - top + i for i, c in enumerate(moved)) if v)
+        jumped = sum(1 for c in beta if b - r < c < b)
+        total += (-1) ** jumped * character(smaller, rest)
+    return total
+
+
+@lru_cache(maxsize=None)
+def standard_tableau_count(lam: Partition) -> int:
+    """Standard tableaux of shape lam: the character at the identity, its degree."""
     if lam.weight > MAX_TABLEAU_WEIGHT:
         raise SizeGuardError(
             f"standard_tableau_count supports weight <= {MAX_TABLEAU_WEIGHT}, got {lam.weight}"
         )
-    row_lengths = lam.parts
-    filled = [0] * len(row_lengths)
-
-    def place(value: int) -> int:
-        if value > lam.weight:
-            return 1
-        total = 0
-        for i, length in enumerate(row_lengths):
-            if filled[i] < length and (i == 0 or filled[i] < filled[i - 1]):
-                filled[i] += 1
-                total += place(value + 1)
-                filled[i] -= 1
-        return total
-
-    return place(1)
+    return character(lam, (1,) * lam.weight)
 
 
 def is_exceptional(lam: Partition) -> bool:

@@ -21,7 +21,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import InternalConsistencyError, SizeGuardError
-from .partitions import Partition, SetPartition
+from .partitions import Partition, SetPartition, character
 from .rational import as_fraction, common_denominator
 
 MAX_GROUP_DEGREE = 8
@@ -327,39 +327,22 @@ def positive_element(pi: SetPartition) -> AlgebraElement:
 def isotypic_projector(lam: Partition) -> tuple[AlgebraElement, Fraction]:
     """Idempotent projector onto the lam-isotypic block, with its normalizer.
 
-    The central element z = sum over g of g * c * g^{-1} (c the Young
-    symmetrizer) is a class function: its coefficient on sigma is
-    (p! / |K|) * m(K), where K is the conjugacy class (cycle type) of sigma
-    and the class mass m(K) is the sum of c's coefficients on K.  z is built
-    that way, without conjugating.  Then the scalar s with z*z = s*z —
-    guaranteed because z is central and supported on a single isotypic
-    block — is found and checked, and (z/s, s) returned.
+    z = (f / p!) * sum over sigma of chi(sigma) * sigma, with chi the character
+    of lam and f = chi(1).  The normalizer (p! / f)^2 is the factor by which
+    the central sum of the Young symmetrizer's conjugates exceeds z.  One O(p!)
+    check: z * z has identity coefficient sum z(sigma)^2 (characters of S_p
+    are real), and that is z(1) = f^2 / p! exactly when <chi, chi> = 1.
     """
     p = lam.weight
     if p > MAX_PROJECTOR_DEGREE:
         raise SizeGuardError(
             f"isotypic_projector supports weight <= {MAX_PROJECTOR_DEGREE}, got {p}"
         )
-    mass: dict[Partition, Fraction] = {}
-    for sigma, coeff in young_symmetrizer(lam).terms():
-        cycle_type = sigma.cycle_partition().shape()
-        mass[cycle_type] = mass.get(cycle_type, 0) + coeff
-    classes: dict[Partition, list[Permutation]] = {}
-    for g in all_permutations(p):
-        classes.setdefault(g.cycle_partition().shape(), []).append(g)
-    central = AlgebraElement(p, {
-        g: Fraction(mass.get(cycle_type, 0) * factorial(p), len(members))
-        for cycle_type, members in classes.items()
-        for g in members
+    f = character(lam, (1,) * p)
+    z = AlgebraElement(p, {
+        sigma: Fraction(f * character(lam, tuple(map(len, sigma.cycles()))), factorial(p))
+        for sigma in all_permutations(p)
     })
-    identity = Permutation.identity(p)
-    anchor = central.coefficient(identity)
-    if not anchor:
-        raise InternalConsistencyError("central sum lost its identity coefficient")
-    square = central * central
-    scale = square.coefficient(identity) / anchor
-    if not scale:
-        raise InternalConsistencyError("central sum squares to zero")
-    if square != central.scale(scale):
-        raise InternalConsistencyError("central sum square is not proportional to it")
-    return central.scale(1 / scale), scale
+    if sum(c * c for _, c in z.terms()) != Fraction(f * f, factorial(p)):
+        raise InternalConsistencyError(f"the character of {lam} is not irreducible")
+    return z, Fraction(factorial(p), f) ** 2

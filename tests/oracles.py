@@ -4,10 +4,10 @@ Each of these computes a value by a route the library deliberately does not
 use: closed-form counting formulas, the fully expanded quartic invariant,
 plain Fraction loops over multi-indices for the slot action, contraction and
 slicing, and over term pairs for the group algebra product (the library runs
-those on integer numerators over one denominator), the central sum of the
-Young symmetrizer by explicit conjugation (the library builds it as a class
-function), and rank and determinant by Fraction Gaussian elimination (the
-library eliminates fraction-free on integers).
+those on integer numerators over one denominator), the isotypic projector
+from the Young symmetrizer, by explicit conjugation and by class masses (the
+library builds it from characters), and rank and determinant by Fraction
+Gaussian elimination (the library eliminates fraction-free on integers).
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -143,6 +143,31 @@ def reference_central_sum(lam: Partition) -> AlgebraElement:
             conj = g * sigma * g_inv
             terms[conj] = terms.get(conj, Fraction(0)) + coeff
     return AlgebraElement(lam.weight, terms)
+
+
+def reference_class_mass_projector(lam: Partition) -> AlgebraElement:
+    """The isotypic projector from Young-symmetrizer class masses.
+
+    The central sum of the Young symmetrizer c's conjugates is a class
+    function: its coefficient on sigma is (p! / |K|) * m(K), with K the
+    conjugacy class (cycle type) of sigma and m(K) the sum of c's coefficients
+    on K.  Divided by (p! / f)^2, f from the hook length formula, it is the
+    projector.
+    """
+    p = lam.weight
+    mass: dict = {}
+    for sigma, coeff in young_symmetrizer(lam).terms():
+        cycle_type = sigma.cycle_partition().shape()
+        mass[cycle_type] = mass.get(cycle_type, 0) + coeff
+    classes: dict = {}
+    for g in all_permutations(p):
+        classes.setdefault(g.cycle_partition().shape(), []).append(g)
+    scale = Fraction(math.factorial(p), hook_length_count(lam)) ** 2
+    return AlgebraElement(p, {
+        g: mass.get(cycle_type, 0) * math.factorial(p) / (len(members) * scale)
+        for cycle_type, members in classes.items()
+        for g in members
+    })
 
 
 def reference_multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:

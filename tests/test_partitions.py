@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from schurdet import (
     SizeGuardError,
     all_partitions,
     all_set_partitions,
+    character,
     critical_set,
     dominance_leq,
     is_exceptional,
@@ -217,6 +219,47 @@ class TestStandardTableauCount:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             standard_tableau_count(P(5, 4))
+
+
+def class_size(nu: Partition) -> int:
+    """Permutations of cycle type nu: w! / z_nu."""
+    z = math.prod(r ** m * math.factorial(m) for r, m in Counter(nu.parts).items())
+    return math.factorial(nu.weight) // z
+
+
+class TestCharacter:
+    def test_row_orthogonality(self):
+        for w in range(1, 8):
+            shapes = all_partitions(w)
+            for lam in shapes:
+                for mu in shapes:
+                    total = sum(
+                        class_size(nu) * character(lam, nu.parts) * character(mu, nu.parts)
+                        for nu in shapes
+                    )
+                    assert total == (math.factorial(w) if lam == mu else 0)
+
+    def test_trivial_sign_and_conjugate(self):
+        for w in range(1, 8):
+            for nu in all_partitions(w):
+                sign = (-1) ** (w - len(nu))
+                assert character(P(w), nu.parts) == 1
+                assert character(P(*[1] * w), nu.parts) == sign
+                for lam in all_partitions(w):
+                    assert character(lam.conjugate(), nu.parts) == sign * character(lam, nu.parts)
+
+    def test_independent_of_the_cycle_order(self):
+        for lam in all_partitions(6):
+            for nu in all_partitions(6):
+                assert character(lam, nu.parts[::-1]) == character(lam, nu.parts)
+
+    def test_guards(self):
+        with pytest.raises(SizeGuardError):
+            character(P(13), (13,))
+        with pytest.raises(ValueError):
+            character(P(3, 1), (3,))
+        with pytest.raises(ValueError):
+            character(P(3, 1), (4, 0))
 
 
 class TestSetPartition:

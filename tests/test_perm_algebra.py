@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from schurdet import (
     AlgebraElement,
+    InternalConsistencyError,
     Partition,
     Permutation,
     SetPartition,
@@ -14,6 +15,7 @@ from schurdet import (
     all_partitions,
     all_permutations,
     all_set_partitions,
+    character,
     column_antisymmetrizer,
     column_group,
     isotypic_projector,
@@ -25,7 +27,7 @@ from schurdet import (
 )
 from schurdet import perm_algebra
 from schurdet.perm_algebra import multiply
-from oracles import reference_central_sum, reference_multiply
+from oracles import reference_central_sum, reference_class_mass_projector, reference_multiply
 
 
 def P(*parts):
@@ -308,7 +310,7 @@ class TestPositiveElement:
 class TestIsotypicProjector:
     def test_normalizer_value(self):
         # the scalar is (p! / tableau count)^2
-        for w in range(2, 5):
+        for w in range(2, 7):
             for lam in all_partitions(w):
                 _, scale = isotypic_projector(lam)
                 f = standard_tableau_count(lam)
@@ -319,6 +321,11 @@ class TestIsotypicProjector:
             for lam in all_partitions(w):
                 proj, scale = isotypic_projector(lam)
                 assert proj == reference_central_sum(lam).scale(1 / scale)
+
+    def test_matches_the_class_mass_construction(self):
+        for w in range(1, 7):
+            for lam in all_partitions(w):
+                assert isotypic_projector(lam)[0] == reference_class_mass_projector(lam)
 
     def test_idempotent(self):
         for w in (4, 5):
@@ -345,6 +352,15 @@ class TestIsotypicProjector:
                     Permutation.from_cycles(4, (k, k + 1))
                 )
                 assert t * proj == proj * t
+
+    def test_fault_check_fires(self, monkeypatch):
+        isotypic_projector.cache_clear()
+        monkeypatch.setattr(perm_algebra, "character", lambda lam, t: 2 * character(lam, t))
+        try:
+            with pytest.raises(InternalConsistencyError):
+                isotypic_projector(P(3, 2))
+        finally:
+            isotypic_projector.cache_clear()
 
     def test_guard(self):
         with pytest.raises(SizeGuardError):
