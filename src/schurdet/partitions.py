@@ -111,8 +111,10 @@ class SetPartition:
         return sum(len(b) for b in self.blocks)
 
     def shape(self) -> Partition:
-        """Block sizes in weakly decreasing order."""
-        return Partition(sorted((len(b) for b in self.blocks), reverse=True))
+        """Block sizes in weakly decreasing order; built once, outside the compared fields."""
+        if "_shape" not in vars(self):
+            vars(self)["_shape"] = Partition(sorted(map(len, self.blocks), reverse=True))
+        return vars(self)["_shape"]
 
     def refines(self, other: SetPartition) -> bool:
         """True iff every block of self sits inside some block of other."""

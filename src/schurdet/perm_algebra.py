@@ -313,14 +313,19 @@ def young_symmetrizer(lam: Partition) -> AlgebraElement:
     return row_symmetrizer(lam) * column_antisymmetrizer(lam)
 
 
+@lru_cache(maxsize=None)
+def _young_subgroup(ground_size: int, blocks: tuple) -> tuple[Permutation, ...]:
+    return tuple(_block_stabilizer(ground_size, list(blocks)))
+
+
 def positive_element(pi: SetPartition) -> AlgebraElement:
     """Sum of all permutations whose cycle partition refines pi.
 
     Those are exactly the permutations moving each block of pi within itself,
     so the support is the product of the per-block symmetric groups.
     """
-    support = _block_stabilizer(pi.ground_size, list(pi.blocks))
-    return AlgebraElement(pi.ground_size, {perm: Fraction(1) for perm in support})
+    support = _young_subgroup(pi.ground_size, pi.blocks)
+    return AlgebraElement(pi.ground_size, dict.fromkeys(support, Fraction(1)))
 
 
 @lru_cache(maxsize=None)

@@ -15,16 +15,19 @@ the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
-from .partitions import Partition
-from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
+from .partitions import Partition, all_partitions
+from .perm_algebra import MAX_GROUP_DEGREE, AlgebraElement, Permutation, isotypic_projector
 from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 
@@ -182,22 +185,14 @@ def rank_one(vectors: Sequence[Sequence]) -> Tensor:
 
 @lru_cache(maxsize=None)
 def _perm_table(images: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    """Flat-index map for the slot action: out[f] = in[table[f]]."""
+    """Flat-index map for the slot action: out[f] = in[table[f]]; digit j of f
+    goes to the slot k with images[k - 1] = j."""
     order = len(images)
-    size = dim**order
-    table = []
-    for flat in range(size):
-        digits = []
-        rem = flat
-        for _ in range(order):
-            rem, d = divmod(rem, dim)
-            digits.append(d)
-        digits.reverse()
-        source = 0
-        for k in range(order):
-            source = source * dim + digits[images[k] - 1]
-        table.append(source)
-    return tuple(table)
+    weights = [0] * order
+    for k, j in enumerate(images, start=1):
+        weights[j - 1] = dim ** (order - k)
+    digits = itertools.product(range(dim), repeat=order)
+    return tuple(sum(map(mul, d, weights)) for d in digits)
 
 
 def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
@@ -209,27 +204,79 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
     return Tensor._from_ints(tensor.order, tensor.dim, [nums[s] for s in table], tensor.den)
 
 
+@lru_cache(maxsize=None)
+def _young_orders(degree: int) -> frozenset[int]:
+    """The orders prod |B_k|! of the Young subgroups S_B of S_degree."""
+    return frozenset(prod(map(factorial, mu.parts)) for mu in all_partitions(degree))
+
+
+def _young_blocks(group: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...] | None:
+    """The blocks B if the image tuples are exactly the Young subgroup S_B, else None.
+
+    Each point's images form its block.  When every point lies in its own block
+    and the blocks partition the points, the group lies in S_B, and it is S_B
+    exactly when it has prod |B_k|! members."""
+    degree = len(group[0])
+    if degree > MAX_GROUP_DEGREE or len(group) not in _young_orders(degree):
+        return None
+    images = [frozenset(column) for column in zip(*group)]
+    blocks = set(images)
+    if sum(map(len, blocks)) != degree or any(x not in b for x, b in enumerate(images, 1)):
+        return None
+    if prod(factorial(len(b)) for b in blocks) != len(group):
+        return None
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(blocks: tuple, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each flat index's orbit representative under S_B, the flat index of its
+    digits sorted within every block, and its stabiliser order |S_B| / |orbit|."""
+    order = sum(map(len, blocks))
+    shifts = []  # per block of two or more slots: its digits -> representative - index
+    for block in (b for b in blocks if len(b) > 1):
+        weights = [dim ** (order - k) for k in block]
+        shifts.append((itemgetter(*(k - 1 for k in block)), {
+            local: sum(w * (d - e) for w, d, e in zip(weights, sorted(local), local))
+            for local in itertools.product(range(dim), repeat=len(block))
+        }))
+    rep = [
+        flat + sum(shift[get(digits)] for get, shift in shifts)
+        for flat, digits in enumerate(itertools.product(range(dim), repeat=order))
+    ]
+    orbit_size, group_order = Counter(rep), prod(factorial(len(b)) for b in blocks)
+    return tuple(rep), tuple(group_order // orbit_size[r] for r in rep)
+
+
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     """Linear extension of the slot action to group algebra elements.
 
-    Terms are grouped by coefficient: the entries each group's permutations
-    gather are summed with integer adds, then each group costs one multiply
-    per entry.
+    Terms are grouped by coefficient.  A group that is exactly a Young subgroup
+    S_B takes one pass of orbit sums, (sum of h . A over S_B)_i = |Stab(i)| *
+    (sum of A over the orbit of i); any other group sums the entries its
+    permutations gather.  Each group then costs one multiply per entry.
     """
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
     coeffs, coeff_den = common_denominator([coeff for _, coeff in element.terms()])
-    entries = tensor.nums
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for (perm, _), coeff in zip(element.terms(), coeffs):
-        table = _perm_table(perm.images, tensor.dim)
-        summed = groups.get(coeff)
-        if summed is None:
-            groups[coeff] = [entries[s] for s in table]
-        else:
-            groups[coeff] = [a + entries[s] for a, s in zip(summed, table)]
+        groups.setdefault(coeff, []).append(perm.images)
+    entries = tensor.nums
     out = [0] * len(entries)
-    for coeff, summed in groups.items():
+    for coeff, group in groups.items():
+        blocks = _young_blocks(group)
+        if blocks is None:
+            tables = [_perm_table(images, tensor.dim) for images in group]
+            summed = [entries[s] for s in tables[0]]
+            for table in tables[1:]:
+                summed = [a + entries[s] for a, s in zip(summed, table)]
+        else:
+            rep, stab = _orbit_table(blocks, tensor.dim)
+            sums = [0] * len(entries)
+            for r, a in zip(rep, entries):
+                sums[r] += a
+            summed = [s * sums[r] for r, s in zip(rep, stab)]
         out = [o + coeff * a for o, a in zip(out, summed)]
     return Tensor._from_ints(tensor.order, tensor.dim, out, coeff_den * tensor.den)
 

@@ -282,6 +282,13 @@ class TestSetPartition:
         assert pi.shape() == P(3, 2, 1)
         assert pi.ground_size == 6
 
+    def test_shape_is_built_once_outside_equality_and_hashing(self):
+        pi = SetPartition([[1, 4], [2], [3, 5, 6]])
+        fresh = SetPartition(pi.blocks)
+        assert pi.shape() is pi.shape()
+        assert pi == fresh and hash(pi) == hash(fresh)
+        assert repr(pi) == repr(fresh)
+
     def test_refines_examples(self):
         fine = SetPartition([[1], [2], [3]])
         mid = SetPartition([[1, 2], [3]])

@@ -306,6 +306,12 @@ class TestPositiveElement:
         assert pos.support_size == 6
         assert all(c == 1 for _, c in pos.terms())
 
+    def test_support_is_shared_but_each_call_builds_its_element(self):
+        pi = SetPartition([[1, 3], [2, 4, 5]])
+        first, second = positive_element(pi), positive_element(pi)
+        assert first == second and first is not second
+        assert not hasattr(positive_element, "cache_info")
+
 
 class TestIsotypicProjector:
     def test_normalizer_value(self):

@@ -3,21 +3,25 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schurdet import (
     Partition,
     Permutation,
+    SetPartition,
     SizeGuardError,
     Tensor,
     algebra_action,
     all_partitions,
     all_permutations,
+    all_set_partitions,
     evaluate,
     isotypic_projector,
     isotypic_rank,
     permute_factors,
+    positive_element,
+    positive_equation_residual,
     project_isotypic,
     random_tensor,
     random_vector,
@@ -297,6 +301,93 @@ class TestDenominatorClearing:
         for lam in all_partitions(3):
             projector, _ = isotypic_projector(lam)
             assert project_isotypic(lam, t) == reference_algebra_action(projector, t)
+
+
+@st.composite
+def set_partitions(draw, degree):
+    """A random set partition of 1..degree: each point draws a block label."""
+    labels = draw(st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree))
+    blocks: dict[int, list[int]] = {}
+    for point, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(point)
+    return SetPartition(blocks.values())
+
+
+def young_terms(pi, coeff):
+    return {perm: coeff for perm, _ in positive_element(pi).terms()}
+
+
+def is_young(terms):
+    return tensor_space._young_blocks([perm.images for perm in terms]) is not None
+
+
+class TestYoungSubgroupSums:
+    """A coefficient group that is exactly a Young subgroup S_B is applied by
+    orbit sums; every other group gathers.  Both against the Fraction loop."""
+
+    @staticmethod
+    def draw_case(data):
+        order = data.draw(st.integers(1, 5), label="order")
+        dims = st.integers(1, 3 if order <= 3 else 2)
+        t = data.draw(fraction_tensors(st.just(order), dims))
+        pi = data.draw(set_partitions(order), label="pi")
+        return t, pi, data.draw(fractions.filter(bool), label="c")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_scaled_young_subgroup_with_other_groups(self, data):
+        t, pi, c = self.draw_case(data)
+        terms = young_terms(pi, c)
+        assert tensor_space._young_blocks([perm.images for perm in terms]) == pi.blocks
+        for perm, coeff in data.draw(elements(t.order)).terms():
+            if coeff != c and perm not in terms:
+                terms[perm] = coeff
+        element = AlgebraElement(t.order, terms)
+        assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_extra_permutation_at_the_same_coefficient_gathers(self, data):
+        t, pi, c = self.draw_case(data)
+        terms = young_terms(pi, c)
+        # Young orders other than 1 are even, so |S_B| + 1 is none of them
+        assume(1 < len(terms) < math.factorial(t.order))
+        outside = [g for g in all_permutations(t.order) if g not in terms]
+        terms[data.draw(st.sampled_from(outside))] = c
+        assert not is_young(terms)
+        element = AlgebraElement(t.order, terms)
+        assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    @pytest.mark.parametrize(
+        "cycles",
+        [
+            [(), ((1, 2), (3, 4))],  # size 2 = |S_2|, blocks {1,2}{3,4} need 4
+            [((1, 2),)],  # size 1, but 1 is not among its own images
+            [(), ((1, 2, 3),)],  # image sets {1,2}, {2,3}, {1,3} overlap
+            [(), ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))],  # Klein four
+            [(), ((1, 2),), ((3, 4),)],  # three of the four members of S_2 x S_2
+        ],
+    )
+    def test_near_misses_gather(self, cycles):
+        terms = {Permutation.from_cycles(4, *cyc): F(3) / 2 for cyc in cycles}
+        assert not is_young(terms)
+        t = Tensor(4, 2, [F(k - 7) / (k % 3 + 1) for k in range(16)])
+        element = AlgebraElement(4, terms)
+        assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    def test_identity_and_the_whole_group_are_young(self):
+        t = Tensor(3, 3, [F(k - 13) / (k % 4 + 1) for k in range(27)])
+        for terms in ({Permutation.identity(3): F(2)}, dict.fromkeys(all_permutations(3), F(-1))):
+            assert is_young(terms)
+            element = AlgebraElement(3, terms)
+            assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    @pytest.mark.parametrize("order, dim", [(1, 3), (2, 3), (3, 3), (4, 3), (5, 2)])
+    def test_positive_equation_residuals(self, order, dim):
+        t = Tensor(order, dim, [F(k % 11 - 5) / (k % 4 + 1) for k in range(dim**order)])
+        for pi in all_set_partitions(order):
+            expected = reference_algebra_action(positive_element(pi), t)
+            assert positive_equation_residual(pi, t) == expected
 
 
 def assert_canonical(t):
