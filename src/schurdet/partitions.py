@@ -26,6 +26,14 @@ MAX_TABLEAU_WEIGHT = 8
 MAX_SET_PARTITION_GROUND = 8
 
 
+def as_int_tuple(values: Iterable) -> tuple[int, ...]:
+    """The values as a tuple; TypeError unless each is an int (not a bool)."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise TypeError(f"not all integers: {values!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class Partition:
     """A Young diagram: weakly decreasing positive integer parts."""
@@ -33,7 +41,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(v) for v in parts)
+        parts = as_int_tuple(parts)
         for v in parts:
             if v < 1:
                 raise ValueError(f"parts must be positive, got {parts}")
@@ -90,9 +98,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        canon = tuple(
-            sorted(tuple(sorted(int(x) for x in block)) for block in blocks)
-        )
+        canon = tuple(sorted(tuple(sorted(as_int_tuple(block))) for block in blocks))
         seen: set[int] = set()
         for block in canon:
             if not block:

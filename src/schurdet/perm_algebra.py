@@ -7,8 +7,8 @@ derives from this single choice.
 The row/column subgroups of a Young diagram use the row-major filling: boxes
 numbered consecutively left to right, top to bottom.
 
-Scalars are exact Fractions at the API; the inner loop of multiply runs on
-integer numerators over one common denominator.
+An AlgebraElement holds integer numerators over one denominator, as a Tensor
+does, and multiply works on those integers; scalars are Fractions at the API.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Iterator
+from math import factorial, gcd, lcm
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalConsistencyError, SizeGuardError
-from .partitions import Partition, SetPartition, character
+from .partitions import Partition, SetPartition, as_int_tuple, character
 from .rational import as_fraction, common_denominator
 
 MAX_GROUP_DEGREE = 8
@@ -35,7 +36,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(v) for v in images)
+        images = as_int_tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
@@ -108,67 +109,81 @@ def all_permutations(degree: int) -> list[Permutation]:
     return _block_stabilizer(degree, [tuple(range(1, degree + 1))])
 
 
+@dataclass(frozen=True)
 class AlgebraElement:
     """A finite rational-linear combination of permutations of {1, ..., p}.
 
-    Terms with coefficient zero are never stored, so equality is equality of
-    the term maps.  Multiplication is the bilinear extension of composition.
+    Stored as nums[images] / den: a read-only map from image tuples to nonzero
+    integers, over den > 0 with gcd(den, *nums) == 1, so equality compares the
+    fields.  `terms()` is the (Permutation, Fraction) view.  Multiplication is
+    the bilinear extension of composition.
     """
 
-    __slots__ = ("degree", "_terms")
+    degree: int
+    den: int
+    nums: Mapping[tuple[int, ...], int]
 
     def __init__(self, degree: int, terms=None):
-        self.degree = degree
-        clean: dict[Permutation, Fraction] = {}
-        for perm, coeff in (terms or {}).items():
-            if perm.degree != degree:
-                raise ValueError("term degree mismatch")
-            coeff = as_fraction(coeff)
-            if coeff:
-                clean[perm] = coeff
-        self._terms = clean
+        terms = terms or {}
+        if any(perm.degree != degree for perm in terms):
+            raise ValueError("term degree mismatch")
+        nums, den = common_denominator([as_fraction(c) for c in terms.values()])
+        canonical = self._from_ints(degree, dict(zip((p.images for p in terms), nums)), den)
+        # frozen: the fields go straight into the instance dict, here and below
+        vars(self).update(vars(canonical))
+
+    @classmethod
+    def _from_ints(cls, degree: int, nums: dict, den: int) -> AlgebraElement:
+        """nums[images] / den (den > 0, keys unchecked) in lowest terms, zeros dropped."""
+        common = gcd(den, *nums.values())
+        nums = MappingProxyType({k: v // common for k, v in nums.items() if v})
+        element = object.__new__(cls)
+        vars(element).update(degree=degree, den=den // common, nums=nums)
+        return element
 
     @classmethod
     def unit(cls, degree: int) -> AlgebraElement:
-        return cls(degree, {Permutation.identity(degree): Fraction(1)})
+        return cls(degree, {Permutation.identity(degree): 1})
 
     @classmethod
     def from_permutation(cls, perm: Permutation, coeff=1) -> AlgebraElement:
-        return cls(perm.degree, {perm: as_fraction(coeff)})
+        return cls(perm.degree, {perm: coeff})
 
     def coefficient(self, perm: Permutation) -> Fraction:
-        return self._terms.get(perm, Fraction(0))
+        return Fraction(self.nums.get(perm.images, 0), self.den)
 
     def terms(self) -> Iterator[tuple[Permutation, Fraction]]:
-        return iter(self._terms.items())
+        """The (Permutation, Fraction) pairs, sorted by image tuple."""
+        return ((Permutation(k), Fraction(v, self.den)) for k, v in sorted(self.nums.items()))
 
     @property
     def support_size(self) -> int:
-        return len(self._terms)
+        return len(self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.nums
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        terms = dict(self._terms)
-        for perm, coeff in other._terms.items():
-            terms[perm] = terms.get(perm, Fraction(0)) + coeff
-        return AlgebraElement(self.degree, terms)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = {k: a * v for k, v in self.nums.items()}
+        for k, v in other.nums.items():
+            nums[k] = nums.get(k, 0) + b * v
+        return AlgebraElement._from_ints(self.degree, nums, den)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.degree, {p: -c for p, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         return self + (-other)
 
     def scale(self, scalar) -> AlgebraElement:
         scalar = as_fraction(scalar)
-        return AlgebraElement(
-            self.degree, {p: scalar * c for p, c in self._terms.items()}
-        )
+        nums = {k: scalar.numerator * v for k, v in self.nums.items()}
+        return AlgebraElement._from_ints(self.degree, nums, scalar.denominator * self.den)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -178,26 +193,13 @@ class AlgebraElement:
     def __rmul__(self, scalar) -> AlgebraElement:
         return self.scale(scalar)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
+    __hash__ = None  # nums is a mapping
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = [f"{c}*{p}" for p, c in sorted(self._terms.items(), key=lambda t: t[0].images)]
-        return " + ".join(bits)
+        return " + ".join(f"{c}*{p}" for p, c in self.terms()) or "0"
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"perm": list(perm.images), "coeff": str(coeff)}
-            for perm, coeff in sorted(self._terms.items(), key=lambda t: t[0].images)
-        ]
+        return [{"perm": list(p.images), "coeff": str(c)} for p, c in self.terms()]
 
     @staticmethod
     def from_json_obj(obj, degree: int | None = None) -> AlgebraElement:
@@ -214,33 +216,26 @@ class AlgebraElement:
 def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     """Group algebra product: bilinear extension of composition.
 
-    Both factors' coefficients become integer numerators over one common
-    denominator each, and the right factor's terms are grouped by numerator,
-    so each (sigma, group) pair costs one integer multiply.  sigma * tau is
-    composed on the bare image tuples and its numerator accumulated in a dict
-    keyed by those tuples; each distinct product then becomes one validated
-    Permutation and one Fraction, and sums that cancel to zero are dropped.
+    The right factor's image tuples are grouped by numerator, so each (sigma,
+    group) pair costs one integer multiply.  sigma * tau is composed on the
+    image tuples, permutations by construction, and its numerator accumulated
+    by tuple over the product of the two denominators.
     """
     if left.degree != right.degree:
         raise ValueError("degree mismatch")
-    left_nums, left_den = common_denominator([a for _, a in left.terms()])
-    right_nums, right_den = common_denominator([b for _, b in right.terms()])
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for (tau, _), b in zip(right.terms(), right_nums):
-        groups.setdefault(b, []).append(tau.images)
+    for tau, b in right.nums.items():
+        groups.setdefault(b, []).append(tau)
     acc: dict[tuple[int, ...], int] = {}
-    for (sigma, _), a in zip(left.terms(), left_nums):
+    for sigma, a in left.nums.items():
         # look(j) = sigma(j); the leading 0 makes the 1-based images index directly
-        look = ((0,) + sigma.images).__getitem__
+        look = ((0,) + sigma).__getitem__
         for b, taus in groups.items():
             c = a * b
             for images in taus:
                 key = tuple(map(look, images))
                 acc[key] = acc.get(key, 0) + c
-    den = left_den * right_den
-    return AlgebraElement(left.degree, {
-        Permutation(key): Fraction(v, den) for key, v in acc.items() if v
-    })
+    return AlgebraElement._from_ints(left.degree, acc, left.den * right.den)
 
 
 def _row_major_rows(lam: Partition) -> list[tuple[int, ...]]:
@@ -293,15 +288,13 @@ def column_group(lam: Partition) -> list[Permutation]:
 @lru_cache(maxsize=None)
 def row_symmetrizer(lam: Partition) -> AlgebraElement:
     """Sum of the row group, all coefficients +1."""
-    return AlgebraElement(lam.weight, {p: Fraction(1) for p in row_group(lam)})
+    return AlgebraElement(lam.weight, dict.fromkeys(row_group(lam), 1))
 
 
 @lru_cache(maxsize=None)
 def column_antisymmetrizer(lam: Partition) -> AlgebraElement:
     """Signed sum of the column group."""
-    return AlgebraElement(
-        lam.weight, {p: Fraction(p.sign) for p in column_group(lam)}
-    )
+    return AlgebraElement(lam.weight, {p: p.sign for p in column_group(lam)})
 
 
 @lru_cache(maxsize=None)
@@ -314,8 +307,8 @@ def young_symmetrizer(lam: Partition) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _young_subgroup(ground_size: int, blocks: tuple) -> tuple[Permutation, ...]:
-    return tuple(_block_stabilizer(ground_size, list(blocks)))
+def _young_subgroup(ground_size: int, blocks: tuple) -> tuple[tuple[int, ...], ...]:
+    return tuple(g.images for g in _block_stabilizer(ground_size, list(blocks)))
 
 
 def positive_element(pi: SetPartition) -> AlgebraElement:
@@ -325,18 +318,19 @@ def positive_element(pi: SetPartition) -> AlgebraElement:
     so the support is the product of the per-block symmetric groups.
     """
     support = _young_subgroup(pi.ground_size, pi.blocks)
-    return AlgebraElement(pi.ground_size, dict.fromkeys(support, Fraction(1)))
+    return AlgebraElement._from_ints(pi.ground_size, dict.fromkeys(support, 1), 1)
 
 
 @lru_cache(maxsize=None)
 def isotypic_projector(lam: Partition) -> tuple[AlgebraElement, Fraction]:
     """Idempotent projector onto the lam-isotypic block, with its normalizer.
 
-    z = (f / p!) * sum over sigma of chi(sigma) * sigma, with chi the character
-    of lam and f = chi(1).  The normalizer (p! / f)^2 is the factor by which
-    the central sum of the Young symmetrizer's conjugates exceeds z.  One O(p!)
-    check: z * z has identity coefficient sum z(sigma)^2 (characters of S_p
-    are real), and that is z(1) = f^2 / p! exactly when <chi, chi> = 1.
+    z = sum over sigma of (f * chi(sigma) / p!) * sigma, built as integer
+    numerators over p!, with chi the character of lam and f = chi(1).  The
+    normalizer (p! / f)^2 is the factor by which the central sum of the Young
+    symmetrizer's conjugates exceeds z.  One O(p!) integer check: z * z has
+    identity coefficient sum z(sigma)^2 (characters are real), which is
+    z(1) = f^2 / p! exactly when <chi, chi> = 1.
     """
     p = lam.weight
     if p > MAX_PROJECTOR_DEGREE:
@@ -344,10 +338,10 @@ def isotypic_projector(lam: Partition) -> tuple[AlgebraElement, Fraction]:
             f"isotypic_projector supports weight <= {MAX_PROJECTOR_DEGREE}, got {p}"
         )
     f = character(lam, (1,) * p)
-    z = AlgebraElement(p, {
-        sigma: Fraction(f * character(lam, tuple(map(len, sigma.cycles()))), factorial(p))
+    nums = {
+        sigma.images: f * character(lam, tuple(map(len, sigma.cycles())))
         for sigma in all_permutations(p)
-    })
-    if sum(c * c for _, c in z.terms()) != Fraction(f * f, factorial(p)):
+    }
+    if sum(v * v for v in nums.values()) != f * f * factorial(p):
         raise InternalConsistencyError(f"the character of {lam} is not irreducible")
-    return z, Fraction(factorial(p), f) ** 2
+    return AlgebraElement._from_ints(p, nums, factorial(p)), Fraction(factorial(p), f) ** 2

@@ -251,17 +251,17 @@ def _orbit_table(blocks: tuple, dim: int) -> tuple[tuple[int, ...], tuple[int, .
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     """Linear extension of the slot action to group algebra elements.
 
-    Terms are grouped by coefficient.  A group that is exactly a Young subgroup
-    S_B takes one pass of orbit sums, (sum of h . A over S_B)_i = |Stab(i)| *
-    (sum of A over the orbit of i); any other group sums the entries its
-    permutations gather.  Each group then costs one multiply per entry.
+    Image tuples are grouped by numerator.  A group that is exactly a Young
+    subgroup S_B takes one pass of orbit sums, (sum of h . A over S_B)_i =
+    |Stab(i)| * (sum of A over the orbit of i); any other group sums the
+    entries its permutations gather.  Each group then costs one multiply per
+    entry.
     """
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
-    coeffs, coeff_den = common_denominator([coeff for _, coeff in element.terms()])
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for (perm, _), coeff in zip(element.terms(), coeffs):
-        groups.setdefault(coeff, []).append(perm.images)
+    for images, coeff in element.nums.items():
+        groups.setdefault(coeff, []).append(images)
     entries = tensor.nums
     out = [0] * len(entries)
     for coeff, group in groups.items():
@@ -278,7 +278,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
                 sums[r] += a
             summed = [s * sums[r] for r, s in zip(rep, stab)]
         out = [o + coeff * a for o, a in zip(out, summed)]
-    return Tensor._from_ints(tensor.order, tensor.dim, out, coeff_den * tensor.den)
+    return Tensor._from_ints(tensor.order, tensor.dim, out, element.den * tensor.den)
 
 
 def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
@@ -350,10 +350,10 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
 def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space.
 
-    The rank of the projector's matrix, filled with its integer coefficient
-    numerators over one common denominator and reduced by `rank_exact`.  The
-    matrix is dense size x size, so size is capped at MAX_RANK_SIZE (about a
-    million cells) before the projector or any row is built.
+    The rank of the projector's matrix, filled with its integer numerators
+    (its denominator does not change the rank) and reduced by `rank_exact`.
+    The matrix is dense size x size, so size is capped at MAX_RANK_SIZE (about
+    a million cells) before the projector or any row is built.
     """
     size = _dense_size(lam.weight, dim)
     if size > MAX_RANK_SIZE:
@@ -362,11 +362,9 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
             f"{MAX_RANK_SIZE} x {MAX_RANK_SIZE} is supported"
         )
     projector, _ = isotypic_projector(lam)
-    coeffs, _ = common_denominator([coeff for _, coeff in projector.terms()])
     matrix = [[0] * size for _ in range(size)]
-    for (perm, _), coeff in zip(projector.terms(), coeffs):
-        table = _perm_table(perm.images, dim)
-        for f, s in enumerate(table):
+    for images, coeff in projector.nums.items():
+        for f, s in enumerate(_perm_table(images, dim)):
             matrix[f][s] += coeff
     return rank_exact(matrix)
 

@@ -89,9 +89,10 @@ def _indices(tensor: Tensor):
 def reference_algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     """sum_sigma c_sigma (sigma . A), from (sigma . A)_i = A_{i_sigma(1) ... i_sigma(p)}."""
     out = {}
+    terms = list(element.terms())
     for idx in _indices(tensor):
         total = Fraction(0)
-        for perm, coeff in element.terms():
+        for perm, coeff in terms:
             source = tuple(idx[perm(k) - 1] for k in range(1, tensor.order + 1))
             total += coeff * tensor.entry(source)
         out[idx] = total
@@ -137,9 +138,10 @@ def reference_slot_slice(tensor: Tensor, vectors, slot: int) -> tuple[Fraction, 
 def reference_central_sum(lam: Partition) -> AlgebraElement:
     """sum over g in S_p of g * c * g^{-1}, c the Young symmetrizer of lam."""
     terms: dict = {}
+    c = list(young_symmetrizer(lam).terms())
     for g in all_permutations(lam.weight):
         g_inv = g.inverse()
-        for sigma, coeff in young_symmetrizer(lam).terms():
+        for sigma, coeff in c:
             conj = g * sigma * g_inv
             terms[conj] = terms.get(conj, Fraction(0)) + coeff
     return AlgebraElement(lam.weight, terms)
@@ -173,8 +175,9 @@ def reference_class_mass_projector(lam: Partition) -> AlgebraElement:
 def reference_multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     """sum over term pairs of (a * b) (sigma * tau), composing Permutation objects."""
     terms: dict = {}
+    right_terms = list(right.terms())
     for sigma, a in left.terms():
-        for tau, b in right.terms():
+        for tau, b in right_terms:
             perm = sigma * tau
             terms[perm] = terms.get(perm, Fraction(0)) + a * b
     return AlgebraElement(left.degree, terms)

@@ -40,6 +40,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([-1])
 
+    @pytest.mark.parametrize("parts", [[2.7, 1], [2.0, 1], "32", ["3", "2"], [True], [2, False]])
+    def test_rejects_non_integers(self, parts):
+        # int() would read these as (2,1), (2,1), (3,2), (3,2), (1) and (2,0)
+        with pytest.raises(TypeError):
+            Partition(parts)
+
     def test_basic_attributes(self):
         lam = P(4, 2, 1)
         assert lam.weight == 7
@@ -276,6 +282,14 @@ class TestSetPartition:
             SetPartition([[1], [3]])  # gap
         with pytest.raises(ValueError):
             SetPartition([[1], []])
+
+    @pytest.mark.parametrize(
+        "blocks", [[[1.9], [2]], [[1.0], [2]], [[True], [2]], ["12"], [["1"], ["2"]]]
+    )
+    def test_rejects_non_integers(self, blocks):
+        # int() would read the first as {{1},{2}}
+        with pytest.raises(TypeError):
+            SetPartition(blocks)
 
     def test_shape(self):
         pi = SetPartition([[1, 4], [2], [3, 5, 6]])

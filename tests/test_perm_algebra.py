@@ -54,6 +54,11 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([0, 1])
 
+    @pytest.mark.parametrize("images", ["213", [1.0, 2.0], [2.5, 1], [True], [2, True]])
+    def test_rejects_non_integers(self, images):
+        with pytest.raises(TypeError):
+            Permutation(images)
+
     def test_identity_and_call(self):
         e = Permutation.identity(4)
         assert e.images == (1, 2, 3, 4)
@@ -213,6 +218,94 @@ class TestMultiplyKernel:
         mixed = minus + AlgebraElement.from_permutation(t, c)
         self.check(plus, mixed)
         assert multiply(plus, mixed) == AlgebraElement(3, {t: c, s * t: c})
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert all(x.nums.values())
+    assert math.gcd(x.den, *x.nums.values()) == 1
+    assert all(Fraction(x.nums[p.images], x.den) == c for p, c in x.terms())
+
+
+class TestCanonicalForm:
+    """One representation: integer numerators over a positive least denominator."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_results_are_in_lowest_terms(self, data):
+        degree = data.draw(st.integers(1, 4))
+        x, y = data.draw(elements(degree)), data.draw(elements(degree))
+        c = data.draw(fractions)
+        for z in (x, x + y, x - y, -x, x.scale(c), x * y, multiply(x, x)):
+            assert_canonical(z)
+
+    def test_named_elements_are_in_lowest_terms(self):
+        for pi in all_set_partitions(4):
+            assert_canonical(positive_element(pi))
+        for w in range(1, 7):
+            for lam in all_partitions(w):
+                assert_canonical(isotypic_projector(lam)[0])
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_routes_to_one_element_agree_field_for_field(self, data):
+        degree = data.draw(st.integers(1, 4))
+        x = data.draw(elements(degree))
+        unit = AlgebraElement.unit(degree)
+        built = [
+            AlgebraElement(degree, {p: str(c) for p, c in x.terms()}),
+            AlgebraElement.from_json_obj(x.to_json_obj(), degree),
+            x.scale(6).scale(Fraction(1, 6)),
+            x + x - x,
+            unit * x,
+            x * unit,
+        ]
+        for other in built:
+            assert other == x
+            assert (other.degree, other.den, dict(other.nums)) == (x.degree, x.den, dict(x.nums))
+
+    def test_string_and_fraction_coefficients_agree(self):
+        s = Permutation([2, 1, 3])
+        half = AlgebraElement(3, {s: Fraction(1, 2)})
+        assert AlgebraElement(3, {s: "2/4"}) == half
+        assert (half.den, dict(half.nums)) == (2, {(2, 1, 3): 1})
+
+    def test_zero_has_denominator_one(self):
+        half = AlgebraElement.unit(3).scale(Fraction(1, 2))
+        s = AlgebraElement.from_permutation(Permutation([2, 1, 3]))
+        unit = AlgebraElement.unit(3)
+        zeros = [
+            AlgebraElement(3),
+            half - half,
+            half.scale(0),
+            AlgebraElement(3, {Permutation.identity(3): "0/7"}),
+            multiply((unit + s).scale(Fraction(1, 3)), unit - s),
+        ]
+        for zero in zeros:
+            assert zero.is_zero
+            assert (zero.den, dict(zero.nums)) == (1, {})
+            assert zero == AlgebraElement(3)
+
+    def test_cached_projector_cannot_be_edited(self):
+        z, _ = isotypic_projector(P(2, 1))
+        before = (z.den, dict(z.nums))
+        with pytest.raises(TypeError):
+            z.nums[(1, 2, 3)] = 0
+        with pytest.raises(TypeError):
+            del z.nums[(1, 2, 3)]
+        with pytest.raises(AttributeError):
+            z.den = 7
+        with pytest.raises(AttributeError):
+            z.nums = {}
+        again, _ = isotypic_projector(P(2, 1))
+        assert (again.den, dict(again.nums)) == before
+
+    def test_terms_come_in_image_order(self):
+        x = young_symmetrizer(P(2, 1)).scale(Fraction(-3, 4))
+        images = [p.images for p, _ in x.terms()]
+        assert images == sorted(images)
+        assert repr(x) == "-3/4*[1 2 3] + -3/4*[2 1 3] + 3/4*[3 1 2] + 3/4*[3 2 1]"
+
 
 class TestTableauGroups:
     def test_row_and_column_groups_of_a_hook(self):
