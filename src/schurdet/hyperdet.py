@@ -5,18 +5,20 @@ its Pfaffian vanishes.  For 2 x 2 x 2 tensors the invariant is the quartic
 hyperdeterminant, computed here through the pencil of first-index slices: with
 det(A0 + t A1) = b0 + b1 t + b2 t^2, the invariant is b1^2 - 4 b0 b2.  The
 all-ones-diagonal tensor gets value +1 under this normalization.
+
+All three kernels run on integers.  The kernel probe search prunes each y whose
+slot-3 slice is nonzero and confirms its witness through `kernel_failure`.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .degeneracy import KernelWitness, is_in_kernel
-from .errors import SizeGuardError
+from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import Matrix
-from .rational import as_fraction
+from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 from .tensor_space import Tensor
 
@@ -49,6 +51,7 @@ def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
     """Pfaffian of an even-size skew-symmetric matrix, by first-row expansion.
 
     Squares to the determinant.  The shape is checked before any entry is read.
+    With d the common denominator, it expands d * A over integers: Pf(A) = Pf(dA) / d^(size/2).
     """
     size = len(matrix)
     if size % 2:
@@ -57,26 +60,23 @@ def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
         raise SizeGuardError(f"pfaffian supports size <= {MAX_PFAFFIAN}")
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
-    rows = [[as_fraction(v) for v in row] for row in matrix]
-    if any(rows[i][j] != -rows[j][i] for i in range(size) for j in range(size)):
+    nums, den = common_denominator([as_fraction(v) for row in matrix for v in row])
+    m = [nums[i * size : (i + 1) * size] for i in range(size)]
+    if any(m[i][j] != -m[j][i] for i in range(size) for j in range(size)):
         raise ValueError("matrix is not skew-symmetric")
-    return _pfaffian_recursive(rows)
+    return Fraction(_integer_pfaffian(m, tuple(range(size))), den ** (size // 2))
 
 
-def _pfaffian_recursive(rows: list[list[Fraction]]) -> Fraction:
-    size = len(rows)
-    if size == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(1, size):
-        coeff = rows[0][j]
-        if coeff == 0:
-            continue
-        keep = [k for k in range(size) if k not in (0, j)]
-        minor = [[rows[r][c] for c in keep] for r in keep]
-        term = coeff * _pfaffian_recursive(minor)
-        # expansion sign for pairing slot 1 with slot j+1 (1-based): (-1)^(j+1)
-        total += term if j % 2 else -term
+def _integer_pfaffian(m: list[list[int]], indices: tuple[int, ...]) -> int:
+    """Pf of m on indices x indices; pairing indices[0] with rest[pos] has sign (-1)^pos."""
+    if not indices:
+        return 1
+    first, rest = indices[0], indices[1:]
+    total = 0
+    for pos, j in enumerate(rest):
+        if m[first][j]:
+            term = m[first][j] * _integer_pfaffian(m, rest[:pos] + rest[pos + 1 :])
+            total += -term if pos % 2 else term
     return total
 
 
@@ -94,13 +94,14 @@ def pencil_slices(tensor: Tensor) -> tuple[Matrix, Matrix]:
 
 
 def schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (b0, b1, b2) of det(A0 + t A1) as a quadratic in t."""
-    a0, a1 = pencil_slices(tensor)
-    b0 = det2(a0)
-    b2 = det2(a1)
-    summed = [[a0[i][j] + a1[i][j] for j in range(2)] for i in range(2)]
-    b1 = det2(summed) - b0 - b2
-    return b0, b1, b2
+    """Coefficients (b0, b1, b2) of det(A0 + t A1) in t: minors of the numerators over den^2."""
+    _check_222(tensor)
+    a000, a001, a010, a011, a100, a101, a110, a111 = tensor.nums
+    scale = tensor.den**2
+    b0 = a000 * a011 - a001 * a010
+    b1 = a000 * a111 + a100 * a011 - a001 * a110 - a101 * a010
+    b2 = a100 * a111 - a101 * a110
+    return Fraction(b0, scale), Fraction(b1, scale), Fraction(b2, scale)
 
 
 def hyperdet_222(tensor: Tensor) -> Fraction:
@@ -112,10 +113,7 @@ def hyperdet_222(tensor: Tensor) -> Fraction:
     return b1 * b1 - 4 * b0 * b2
 
 
-_PROBE_VECTORS: tuple[tuple[Fraction, Fraction], ...] = tuple(
-    (Fraction(a), Fraction(b))
-    for a, b in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
-)
+_PROBE_VECTORS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2))
 
 
 def degeneracy_crosscheck_222(
@@ -125,13 +123,17 @@ def degeneracy_crosscheck_222(
 
     With a witness supplied, it must genuinely lie in the kernel; the verdict
     is then "consistent" iff the invariant vanishes.  Without one, a fixed
-    rational probe grid is searched; "inconsistent" is returned only when a
+    integer probe grid is searched; "inconsistent" is returned only when a
     found witness contradicts a nonzero invariant.  A vanishing invariant with
     no rational witness found is still "consistent": the guaranteed witness
     may need an extension field.
+
+    The search reads the numerators (the condition is homogeneous), z fastest.
+    With M = A(x, ., .) the slot-3 slice y M has no z, so y M != 0 skips all six
+    z; each other z is tested on the slices M z and (y A(i, ., .) z)_i.  The first
+    triple that passes is confirmed by `is_in_kernel`, the slot-slice route.
     """
-    _check_222(tensor)
-    value = hyperdet_222(tensor)
+    value = hyperdet_222(tensor)  # checks the format
     if witness is not None:
         if witness.order != 3 or witness.dim != 2:
             raise ValueError("witness does not match a 2 x 2 x 2 tensor")
@@ -139,8 +141,17 @@ def degeneracy_crosscheck_222(
             raise ValueError("supplied witness is not in the kernel")
         return ("consistent" if value == 0 else "inconsistent"), witness
 
-    for triple in itertools.product(_PROBE_VECTORS, repeat=3):
-        candidate = KernelWitness(triple)
-        if is_in_kernel(tensor, candidate):
-            return ("consistent" if value == 0 else "inconsistent"), candidate
+    a = tensor.nums  # a[4i + 2j + k]
+    for x in _PROBE_VECTORS:
+        m00, m01, m10, m11 = (x[0] * u + x[1] * v for u, v in zip(a[:4], a[4:]))
+        for y0, y1 in _PROBE_VECTORS:
+            if y0 * m00 + y1 * m10 or y0 * m01 + y1 * m11:
+                continue
+            r = [(y0 * a[i] + y1 * a[i + 2], y0 * a[i + 1] + y1 * a[i + 3]) for i in (0, 4)]
+            for z in _PROBE_VECTORS:
+                if not any(u * z[0] + v * z[1] for u, v in [(m00, m01), (m10, m11), *r]):
+                    found = KernelWitness((x, (y0, y1), z))
+                    if not is_in_kernel(tensor, found):
+                        raise InternalConsistencyError(f"{found} fails the slot slices")
+                    return ("consistent" if value == 0 else "inconsistent"), found
     return "consistent", None

@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .partitions import Partition, SetPartition, as_int_tuple, character
@@ -115,8 +115,8 @@ class AlgebraElement:
 
     Stored as nums[images] / den: a read-only map from image tuples to nonzero
     integers, over den > 0 with gcd(den, *nums) == 1, so equality compares the
-    fields.  `terms()` is the (Permutation, Fraction) view.  Multiplication is
-    the bilinear extension of composition.
+    fields.  `terms()` is the (Permutation, Fraction) view, built on first use.
+    Multiplication is the bilinear extension of composition.
     """
 
     degree: int
@@ -152,9 +152,13 @@ class AlgebraElement:
     def coefficient(self, perm: Permutation) -> Fraction:
         return Fraction(self.nums.get(perm.images, 0), self.den)
 
-    def terms(self) -> Iterator[tuple[Permutation, Fraction]]:
+    def terms(self) -> tuple[tuple[Permutation, Fraction], ...]:
         """The (Permutation, Fraction) pairs, sorted by image tuple."""
-        return ((Permutation(k), Fraction(v, self.den)) for k, v in sorted(self.nums.items()))
+        return self._terms
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[Permutation, Fraction], ...]:
+        return tuple((Permutation(k), Fraction(v, self.den)) for k, v in sorted(self.nums.items()))
 
     @property
     def support_size(self) -> int:

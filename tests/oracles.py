@@ -6,16 +6,26 @@ plain Fraction loops over multi-indices for the slot action, contraction and
 slicing, and over term pairs for the group algebra product (the library runs
 those on integer numerators over one denominator), the isotypic projector
 from the Young symmetrizer, by explicit conjugation and by class masses (the
-library builds it from characters), and rank and determinant by Fraction
-Gaussian elimination (the library eliminates fraction-free on integers).
-Agreement with the library is then a genuine two-route check.
+library builds it from characters), rank and determinant by Fraction
+Gaussian elimination (the library eliminates fraction-free on integers), the
+Pfaffian by Fraction expansion over copied minors and the 2x2x2 kernel probe
+search over KernelWitness candidates and slot slices (the library runs both on
+integers).  Agreement with the library is then a genuine two-route check.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from schurdet import Partition, Tensor, as_fraction
+from schurdet import (
+    KernelWitness,
+    Partition,
+    Tensor,
+    as_fraction,
+    det2,
+    is_in_kernel,
+    pencil_slices,
+)
 from schurdet.perm_algebra import AlgebraElement, all_permutations, young_symmetrizer
 
 
@@ -247,3 +257,44 @@ def reference_det(rows) -> Fraction:
     for i in range(size):
         det *= m[i][i]
     return det
+
+
+GRID_PROBES = tuple(
+    (Fraction(a), Fraction(b)) for a, b in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
+)
+
+
+def reference_grid_witness(tensor: Tensor) -> KernelWitness | None:
+    """First probe triple, x slowest and z fastest, whose slot slices all vanish."""
+    for triple in itertools.product(GRID_PROBES, repeat=3):
+        candidate = KernelWitness(triple)
+        if is_in_kernel(tensor, candidate):
+            return candidate
+    return None
+
+
+def reference_schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:
+    """(b0, b1, b2) of det(A0 + t A1) from Fraction 2 x 2 determinants of the pencil."""
+    a0, a1 = pencil_slices(tensor)
+    b0, b2 = det2(a0), det2(a1)
+    summed = [[a0[i][j] + a1[i][j] for j in range(2)] for i in range(2)]
+    return b0, det2(summed) - b0 - b2, b2
+
+
+def reference_pfaffian(rows) -> Fraction:
+    """Pfaffian by first-row expansion over Fraction minors, copied at every step."""
+    rows = _fraction_matrix(rows)
+    size = len(rows)
+    if size == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(1, size):
+        coeff = rows[0][j]
+        if coeff == 0:
+            continue
+        keep = [k for k in range(size) if k not in (0, j)]
+        minor = [[rows[r][c] for c in keep] for r in keep]
+        term = coeff * reference_pfaffian(minor)
+        # expansion sign for pairing slot 1 with slot j+1 (1-based): (-1)^(j+1)
+        total += term if j % 2 else -term
+    return total

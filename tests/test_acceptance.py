@@ -232,14 +232,14 @@ def test_criterion_8_pfaffian_squares_to_determinant():
     started = time.perf_counter()
     ok = True
     index = 0
-    for size in (2, 4, 6):
+    for size in (2, 4, 6, 8):
         for _ in range(20):
             matrix = random_skew_matrix(size, derived_seed(8000, index))
             index += 1
             if pfaffian(matrix) ** 2 != det_exact(matrix):
                 ok = False
     _finish(
-        "criterion 8: pfaffian squared equals determinant, sizes 2, 4, 6",
+        "criterion 8: pfaffian squared equals determinant, sizes 2, 4, 6, 8",
         ok,
         started,
         1.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -305,6 +306,20 @@ class TestCanonicalForm:
         images = [p.images for p, _ in x.terms()]
         assert images == sorted(images)
         assert repr(x) == "-3/4*[1 2 3] + -3/4*[2 1 3] + 3/4*[3 1 2] + 3/4*[3 2 1]"
+
+    def test_terms_view_is_built_once(self):
+        x = young_symmetrizer(P(3, 1)).scale(Fraction(2, 5))
+        first, second = x.terms(), x.terms()
+        assert [p.images for p, _ in first] == sorted(x.nums)
+        assert all(
+            p is q and c == d == Fraction(x.nums[p.images], x.den)
+            for (p, c), (q, d) in zip(first, second, strict=True)
+        )
+        # the cached view is no field: equality, hashing and the field set are as before
+        assert [f.name for f in dataclasses.fields(x)] == ["degree", "den", "nums"]
+        assert x == AlgebraElement(4, dict(first)) and x != x.scale(2)
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 class TestTableauGroups:
