@@ -362,8 +362,15 @@ def cmd_report(args) -> int:
     return 0 if verdict == "pass" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors raise UsageError, so they print one line; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurdet",
         description="Exact checks for isotypic tensor degeneracy and small hyperdeterminants.",
     )
@@ -405,14 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help; flag errors raise UsageError instead
+        return exc.code
     except (UsageError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InvalidWitnessError, SizeGuardError
 from .linalg import Matrix, det_exact, rank_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
-from .perm_algebra import AlgebraElement, all_permutations, positive_element
+from .perm_algebra import column_antisymmetrizer, positive_element
 from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
@@ -100,10 +100,8 @@ def diagonal_kernel_failure(
 def antisymmetrize(tensor: Tensor) -> Tensor:
     """Project onto fully alternating tensors: average of signed slot permutations."""
     p = tensor.order
-    signed_mean = AlgebraElement(
-        p, {perm: Fraction(perm.sign, factorial(p)) for perm in all_permutations(p)}
-    )
-    return algebra_action(signed_mean, tensor)
+    signed_sum = column_antisymmetrizer(Partition([1] * p))
+    return algebra_action(signed_sum.scale(Fraction(1, factorial(p))), tensor)
 
 
 def positive_equation_residual(pi: SetPartition, tensor: Tensor) -> Tensor:
@@ -121,7 +119,7 @@ def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartit
     """
     if lam.weight != tensor.order:
         raise ValueError("partition weight must equal the tensor order")
-    shapes = {c for c in critical_set(lam)}
+    shapes = critical_set(lam)
     if not shapes:
         return []
     failures = []

@@ -115,7 +115,7 @@ class AlgebraElement:
 
     Stored as nums[images] / den: a read-only map from image tuples to nonzero
     integers, over den > 0 with gcd(den, *nums) == 1, so equality compares the
-    fields.  `terms()` is the (Permutation, Fraction) view, built on first use.
+    fields.  `terms` is the (Permutation, Fraction) view, built on first use.
     Multiplication is the bilinear extension of composition.
     """
 
@@ -152,12 +152,9 @@ class AlgebraElement:
     def coefficient(self, perm: Permutation) -> Fraction:
         return Fraction(self.nums.get(perm.images, 0), self.den)
 
+    @cached_property
     def terms(self) -> tuple[tuple[Permutation, Fraction], ...]:
         """The (Permutation, Fraction) pairs, sorted by image tuple."""
-        return self._terms
-
-    @cached_property
-    def _terms(self) -> tuple[tuple[Permutation, Fraction], ...]:
         return tuple((Permutation(k), Fraction(v, self.den)) for k, v in sorted(self.nums.items()))
 
     @property
@@ -200,10 +197,10 @@ class AlgebraElement:
     __hash__ = None  # nums is a mapping
 
     def __repr__(self) -> str:
-        return " + ".join(f"{c}*{p}" for p, c in self.terms()) or "0"
+        return " + ".join(f"{c}*{p}" for p, c in self.terms) or "0"
 
     def to_json_obj(self) -> list[dict]:
-        return [{"perm": list(p.images), "coeff": str(c)} for p, c in self.terms()]
+        return [{"perm": list(p.images), "coeff": str(c)} for p, c in self.terms]
 
     @staticmethod
     def from_json_obj(obj, degree: int | None = None) -> AlgebraElement:

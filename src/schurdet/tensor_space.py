@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
-from .partitions import Partition, all_partitions
-from .perm_algebra import MAX_GROUP_DEGREE, AlgebraElement, Permutation, isotypic_projector
+from .partitions import Partition
+from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
 from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 
@@ -205,46 +205,30 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
 
 
 @lru_cache(maxsize=None)
-def _young_orders(degree: int) -> frozenset[int]:
-    """The orders prod |B_k|! of the Young subgroups S_B of S_degree."""
-    return frozenset(prod(map(factorial, mu.parts)) for mu in all_partitions(degree))
-
-
-def _young_blocks(group: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...] | None:
-    """The blocks B if the image tuples are exactly the Young subgroup S_B, else None.
+def _orbit_table(group: frozenset, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Orbit sums for a group of image tuples that is exactly a Young subgroup S_B.
 
     Each point's images form its block.  When every point lies in its own block
     and the blocks partition the points, the group lies in S_B, and it is S_B
-    exactly when it has prod |B_k|! members."""
-    degree = len(group[0])
-    if degree > MAX_GROUP_DEGREE or len(group) not in _young_orders(degree):
-        return None
+    exactly when it has prod |B_k|! members; any other group gives None.  For
+    S_B: each flat index's orbit representative, the flat index of its digits
+    sorted within every block, and its stabiliser order |S_B| / |orbit|.
+    """
+    order = len(next(iter(group)))
     images = [frozenset(column) for column in zip(*group)]
     blocks = set(images)
-    if sum(map(len, blocks)) != degree or any(x not in b for x, b in enumerate(images, 1)):
+    group_order = prod(factorial(len(b)) for b in blocks)
+    partition = sum(map(len, blocks)) == order and all(x in b for x, b in enumerate(images, 1))
+    if not partition or group_order != len(group):
         return None
-    if prod(factorial(len(b)) for b in blocks) != len(group):
-        return None
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-@lru_cache(maxsize=None)
-def _orbit_table(blocks: tuple, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Each flat index's orbit representative under S_B, the flat index of its
-    digits sorted within every block, and its stabiliser order |S_B| / |orbit|."""
-    order = sum(map(len, blocks))
-    shifts = []  # per block of two or more slots: its digits -> representative - index
-    for block in (b for b in blocks if len(b) > 1):
-        weights = [dim ** (order - k) for k in block]
-        shifts.append((itemgetter(*(k - 1 for k in block)), {
-            local: sum(w * (d - e) for w, d, e in zip(weights, sorted(local), local))
-            for local in itertools.product(range(dim), repeat=len(block))
-        }))
+    # the sorted digits of every block, placed in block order, with their slots' weights
+    slots = [sorted(k - 1 for k in b) for b in blocks]
+    weights = [dim ** (order - 1 - k) for block in slots for k in block]
     rep = [
-        flat + sum(shift[get(digits)] for get, shift in shifts)
-        for flat, digits in enumerate(itertools.product(range(dim), repeat=order))
+        sum(map(mul, [d for block in slots for d in sorted(digits[k] for k in block)], weights))
+        for digits in itertools.product(range(dim), repeat=order)
     ]
-    orbit_size, group_order = Counter(rep), prod(factorial(len(b)) for b in blocks)
+    orbit_size = Counter(rep)
     return tuple(rep), tuple(group_order // orbit_size[r] for r in rep)
 
 
@@ -265,14 +249,14 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     entries = tensor.nums
     out = [0] * len(entries)
     for coeff, group in groups.items():
-        blocks = _young_blocks(group)
-        if blocks is None:
+        orbits = _orbit_table(frozenset(group), tensor.dim)
+        if orbits is None:
             tables = [_perm_table(images, tensor.dim) for images in group]
             summed = [entries[s] for s in tables[0]]
             for table in tables[1:]:
                 summed = [a + entries[s] for a, s in zip(summed, table)]
         else:
-            rep, stab = _orbit_table(blocks, tensor.dim)
+            rep, stab = orbits
             sums = [0] * len(entries)
             for r, a in zip(rep, entries):
                 sums[r] += a

@@ -99,7 +99,7 @@ def _indices(tensor: Tensor):
 def reference_algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     """sum_sigma c_sigma (sigma . A), from (sigma . A)_i = A_{i_sigma(1) ... i_sigma(p)}."""
     out = {}
-    terms = list(element.terms())
+    terms = list(element.terms)
     for idx in _indices(tensor):
         total = Fraction(0)
         for perm, coeff in terms:
@@ -148,7 +148,7 @@ def reference_slot_slice(tensor: Tensor, vectors, slot: int) -> tuple[Fraction, 
 def reference_central_sum(lam: Partition) -> AlgebraElement:
     """sum over g in S_p of g * c * g^{-1}, c the Young symmetrizer of lam."""
     terms: dict = {}
-    c = list(young_symmetrizer(lam).terms())
+    c = list(young_symmetrizer(lam).terms)
     for g in all_permutations(lam.weight):
         g_inv = g.inverse()
         for sigma, coeff in c:
@@ -168,7 +168,7 @@ def reference_class_mass_projector(lam: Partition) -> AlgebraElement:
     """
     p = lam.weight
     mass: dict = {}
-    for sigma, coeff in young_symmetrizer(lam).terms():
+    for sigma, coeff in young_symmetrizer(lam).terms:
         cycle_type = sigma.cycle_partition().shape()
         mass[cycle_type] = mass.get(cycle_type, 0) + coeff
     classes: dict = {}
@@ -185,8 +185,8 @@ def reference_class_mass_projector(lam: Partition) -> AlgebraElement:
 def reference_multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     """sum over term pairs of (a * b) (sigma * tau), composing Permutation objects."""
     terms: dict = {}
-    right_terms = list(right.terms())
-    for sigma, a in left.terms():
+    right_terms = list(right.terms)
+    for sigma, a in left.terms:
         for tau, b in right_terms:
             perm = sigma * tau
             terms[perm] = terms.get(perm, Fraction(0)) + a * b

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from schurdet import InternalConsistencyError, cli
 from schurdet.cli import main
 
 
@@ -69,6 +70,15 @@ class TestVerify:
             capsys, "verify", "main", "--p", "3", "--n", "3", "--trials", "2"
         )
         assert code == 0
+
+    def test_main_with_nothing_to_sweep_prints_a_note(self, capsys):
+        code, out, _ = run(capsys, "verify", "main", "--p", "2", "--n", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "note: order 2, dim 1: every shape that meets the dimension bound is "
+            "exceptional; nothing to sweep",
+            "verdict: pass",
+        ]
 
     def test_pfaffian_and_hyperdet(self, capsys):
         assert run(capsys, "verify", "pfaffian", "--trials", "2")[0] == 0
@@ -297,11 +307,24 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
-    def test_no_arguments(self, capsys):
-        assert run(capsys)[0] == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--p", "abc"], ["verify", "nosuch"], ["critical-set"], ["frobnicate"], []],
+        ids=["bad-int", "unknown-suite", "missing-partition", "unknown-command", "no-arguments"],
+    )
+    def test_flag_errors_print_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_unknown_command(self, capsys):
-        assert run(capsys, "frobnicate")[0] == 2
+    def test_internal_consistency_error_exits_one(self, capsys, monkeypatch):
+        def broken(mu1):
+            raise InternalConsistencyError("slot system disagrees")
+
+        monkeypatch.setattr(cli, "slot_system_det", broken)
+        code, out, err = run(capsys, "verify", "lemma1", "--max-mu", "1")
+        assert code == 1 and out == ""
+        assert err == "internal check failed: slot system disagrees\n"
 
 
 # --- property tests: main returns an exit code for any input ------------------

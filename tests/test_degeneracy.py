@@ -9,18 +9,22 @@ from schurdet import (
     Partition,
     SetPartition,
     SizeGuardError,
+    SplitMix64,
     Tensor,
     all_partitions,
     all_permutations,
+    all_set_partitions,
     antisymmetrize,
     critical_equation_failures,
     critical_equations_hold,
+    critical_set,
     degeneracy_sweep,
     diagonal_kernel_failure,
     evaluate,
     is_in_kernel,
     kernel_failure,
     permute_factors,
+    positive_element,
     positive_equation_residual,
     project_isotypic,
     random_tensor,
@@ -31,6 +35,9 @@ from schurdet import (
     slot_system_matrix,
     substitution_values,
 )
+from schurdet import degeneracy
+
+from oracles import reference_algebra_action
 
 
 def P(*parts):
@@ -200,6 +207,31 @@ class TestDegeneracySweep:
         checks = {f.check for f in report.failures}
         assert checks <= {"critical-equations", "diagonal-kernel", "substitution"}
         assert "diagonal-kernel" in checks
+
+    def test_unprojected_tensor_records_its_failing_equations(self, monkeypatch):
+        """Without the projection the critical equations fail, and the sweep records
+        exactly the set partitions whose residual the oracle finds nonzero."""
+        raw = []
+
+        def unprojected(lam, tensor):
+            raw.append(tensor)
+            return tensor
+
+        monkeypatch.setattr(degeneracy, "project_isotypic", unprojected)
+        report = degeneracy_sweep(P(2, 2), 2, 1, 5)
+        expected = [
+            str(pi)
+            for pi in all_set_partitions(4)
+            if pi.shape() in critical_set(P(2, 2))
+            and not reference_algebra_action(positive_element(pi), raw[0]).is_zero
+        ]
+        assert expected and report.verdict == "fail"
+        recorded = report.to_json_obj()["failures"]
+        trial_seed = SplitMix64(5).next_u64()
+        assert [f for f in recorded if f["check"] == "critical-equations"] == [
+            {"seed": trial_seed, "check": "critical-equations", "slot": None, "detail": detail}
+            for detail in expected
+        ]
 
     def test_deterministic(self):
         a = degeneracy_sweep(P(2, 2), 3, 3, 7)

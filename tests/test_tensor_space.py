@@ -314,11 +314,11 @@ def set_partitions(draw, degree):
 
 
 def young_terms(pi, coeff):
-    return {perm: coeff for perm, _ in positive_element(pi).terms()}
+    return {perm: coeff for perm, _ in positive_element(pi).terms}
 
 
-def is_young(terms):
-    return tensor_space._young_blocks([perm.images for perm in terms]) is not None
+def is_young(terms, dim):
+    return tensor_space._orbit_table(frozenset(perm.images for perm in terms), dim) is not None
 
 
 class TestYoungSubgroupSums:
@@ -338,8 +338,15 @@ class TestYoungSubgroupSums:
     def test_scaled_young_subgroup_with_other_groups(self, data):
         t, pi, c = self.draw_case(data)
         terms = young_terms(pi, c)
-        assert tensor_space._young_blocks([perm.images for perm in terms]) == pi.blocks
-        for perm, coeff in data.draw(elements(t.order)).terms():
+        rep, stab = tensor_space._orbit_table(frozenset(perm.images for perm in terms), t.dim)
+        for flat, digits in enumerate(itertools.product(range(t.dim), repeat=t.order)):
+            orbit = {
+                Tensor._flat(t.dim, t.order, tuple(digits[k - 1] for k in perm.images))
+                for perm in terms
+            }
+            assert rep[flat] == min(orbit)
+            assert stab[flat] == len(terms) // len(orbit)
+        for perm, coeff in data.draw(elements(t.order)).terms:
             if coeff != c and perm not in terms:
                 terms[perm] = coeff
         element = AlgebraElement(t.order, terms)
@@ -354,7 +361,7 @@ class TestYoungSubgroupSums:
         assume(1 < len(terms) < math.factorial(t.order))
         outside = [g for g in all_permutations(t.order) if g not in terms]
         terms[data.draw(st.sampled_from(outside))] = c
-        assert not is_young(terms)
+        assert not is_young(terms, t.dim)
         element = AlgebraElement(t.order, terms)
         assert algebra_action(element, t) == reference_algebra_action(element, t)
 
@@ -370,7 +377,7 @@ class TestYoungSubgroupSums:
     )
     def test_near_misses_gather(self, cycles):
         terms = {Permutation.from_cycles(4, *cyc): F(3) / 2 for cyc in cycles}
-        assert not is_young(terms)
+        assert not is_young(terms, 2)
         t = Tensor(4, 2, [F(k - 7) / (k % 3 + 1) for k in range(16)])
         element = AlgebraElement(4, terms)
         assert algebra_action(element, t) == reference_algebra_action(element, t)
@@ -378,7 +385,7 @@ class TestYoungSubgroupSums:
     def test_identity_and_the_whole_group_are_young(self):
         t = Tensor(3, 3, [F(k - 13) / (k % 4 + 1) for k in range(27)])
         for terms in ({Permutation.identity(3): F(2)}, dict.fromkeys(all_permutations(3), F(-1))):
-            assert is_young(terms)
+            assert is_young(terms, 3)
             element = AlgebraElement(3, terms)
             assert algebra_action(element, t) == reference_algebra_action(element, t)
 
@@ -489,7 +496,7 @@ class TestDimensionOne:
             element = AlgebraElement(
                 order, {p: F(p.sign) / 2 + 1 for p in all_permutations(order)}
             )
-            total = sum((c for _, c in element.terms()), F(0))
+            total = sum((c for _, c in element.terms), F(0))
             assert algebra_action(element, t) == Tensor(order, 1, [total * F(5) / 3])
 
     def test_project_isotypic_keeps_only_the_single_row(self):
