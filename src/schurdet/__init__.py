@@ -14,13 +14,9 @@ from .degeneracy import (
     KernelWitness,
     antisymmetrize,
     critical_equation_failures,
-    critical_equations_hold,
     degeneracy_sweep,
-    diagonal_kernel_failure,
-    is_in_kernel,
     kernel_failure,
     positive_equation_residual,
-    slot_system_det,
     slot_system_eigencheck,
     slot_system_matrix,
     substitution_values,
@@ -28,9 +24,7 @@ from .degeneracy import (
 from .errors import InternalConsistencyError, InvalidWitnessError, SizeGuardError
 from .hyperdet import (
     degeneracy_crosscheck_222,
-    det2,
     hyperdet_222,
-    pencil_slices,
     pfaffian,
     random_skew_matrix,
     schlafli_coefficients,
@@ -45,7 +39,6 @@ from .partitions import (
     critical_set,
     dominance_leq,
     is_exceptional,
-    standard_tableau_count,
 )
 from .perm_algebra import (
     AlgebraElement,
@@ -97,23 +90,18 @@ __all__ = [
     "column_antisymmetrizer",
     "column_group",
     "critical_equation_failures",
-    "critical_equations_hold",
     "critical_set",
     "degeneracy_crosscheck_222",
     "degeneracy_sweep",
     "derived_seed",
-    "det2",
     "det_exact",
-    "diagonal_kernel_failure",
     "dominance_leq",
     "evaluate",
     "hyperdet_222",
     "is_exceptional",
-    "is_in_kernel",
     "isotypic_projector",
     "isotypic_rank",
     "kernel_failure",
-    "pencil_slices",
     "permute_factors",
     "pfaffian",
     "positive_element",
@@ -128,10 +116,8 @@ __all__ = [
     "row_symmetrizer",
     "schlafli_coefficients",
     "slot_slice",
-    "slot_system_det",
     "slot_system_eigencheck",
     "slot_system_matrix",
-    "standard_tableau_count",
     "substitution_values",
     "young_symmetrizer",
 ]

@@ -29,10 +29,10 @@ from .degeneracy import (
     MAX_EIGENCHECK,
     MAX_SWEEP_DIM,
     MAX_SWEEP_ORDER,
-    critical_equations_hold,
+    critical_equation_failures,
     degeneracy_sweep,
-    slot_system_det,
     slot_system_eigencheck,
+    slot_system_matrix,
 )
 from .errors import InternalConsistencyError, SizeGuardError
 from .hyperdet import (
@@ -118,7 +118,7 @@ def _sorted_partitions(items) -> list[Partition]:
 def run_lemma1(config: SuiteConfig) -> dict:
     checks = []
     for mu1 in range(1, config.max_mu + 1):
-        det = slot_system_det(mu1)
+        det = det_exact(slot_system_matrix(mu1))
         det_ok = det == Fraction((-1) ** mu1 * mu1)
         eig_ok = slot_system_eigencheck(mu1)
         checks.append(
@@ -140,7 +140,7 @@ def run_t2(config: SuiteConfig) -> dict:
         for _ in range(trials):
             tensor = random_tensor(config.order, config.dim, seeds.next_u64())
             projected = project_isotypic(lam, tensor)
-            if not critical_equations_hold(lam, projected):
+            if critical_equation_failures(lam, projected):
                 ok = False
         checks.append(
             {
@@ -379,12 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, with_config: bool) -> None:
         p.add_argument("--output", choices=("text", "json"), default="text")
         if with_config:
-            p.add_argument("--p", type=int, default=4, help="tensor order (2..5)")
-            p.add_argument("--n", type=int, default=3, help="vector space dimension (1..3)")
+            p.add_argument("--p", type=int, default=4,
+                           help=f"tensor order (2..{MAX_SWEEP_ORDER})")
+            p.add_argument("--n", type=int, default=3,
+                           help=f"vector space dimension (1..{MAX_SWEEP_DIM})")
             p.add_argument("--trials", type=int, default=None, help="seeded trials per check")
             p.add_argument("--seed", type=int, default=1, help="master seed")
             p.add_argument("--max-mu", type=int, default=10, dest="max_mu",
-                           help="largest slot-system size parameter (1..16)")
+                           help=f"largest slot-system size parameter (1..{MAX_EIGENCHECK})")
 
     p_crit = sub.add_parser("critical-set", help="critical set of a partition")
     p_crit.add_argument("partition", help="comma-separated parts, e.g. 4,1")

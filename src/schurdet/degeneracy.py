@@ -9,13 +9,13 @@ violation rather than stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidWitnessError, SizeGuardError
-from .linalg import Matrix, det_exact, rank_exact
+from .linalg import Matrix, rank_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
 from .perm_algebra import column_antisymmetrizer, positive_element
 from .rng import SplitMix64
@@ -56,10 +56,6 @@ class KernelWitness:
                 raise InvalidWitnessError(f"witness vector in slot {j} is zero")
         object.__setattr__(self, "vectors", vecs)
 
-    @classmethod
-    def diagonal(cls, vector: Sequence, order: int) -> KernelWitness:
-        return cls([vector] * order)
-
     @property
     def order(self) -> int:
         return len(self.vectors)
@@ -84,17 +80,6 @@ def kernel_failure(
             if value != 0:
                 return slot, component
     return None
-
-
-def is_in_kernel(tensor: Tensor, witness: KernelWitness) -> bool:
-    return kernel_failure(tensor, witness) is None
-
-
-def diagonal_kernel_failure(
-    tensor: Tensor, vector: Sequence
-) -> Optional[tuple[int, int]]:
-    """Kernel failure for the repeated witness (x, x, ..., x)."""
-    return kernel_failure(tensor, KernelWitness.diagonal(vector, tensor.order))
 
 
 def antisymmetrize(tensor: Tensor) -> Tensor:
@@ -131,10 +116,6 @@ def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartit
     return failures
 
 
-def critical_equations_hold(lam: Partition, tensor: Tensor) -> bool:
-    return not critical_equation_failures(lam, tensor)
-
-
 def slot_system_matrix(mu1: int) -> Matrix:
     """The (mu1+1) x (mu1+1) matrix with zero diagonal and ones elsewhere.
 
@@ -148,10 +129,6 @@ def slot_system_matrix(mu1: int) -> Matrix:
         [Fraction(0) if i == j else Fraction(1) for j in range(size)]
         for i in range(size)
     ]
-
-
-def slot_system_det(mu1: int) -> Fraction:
-    return det_exact(slot_system_matrix(mu1))
 
 
 def slot_system_eigencheck(mu1: int) -> bool:
@@ -192,12 +169,7 @@ class CheckFailure:
     detail: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "check": self.check,
-            "slot": self.slot,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -257,7 +229,7 @@ def degeneracy_sweep(
             failures.append(
                 CheckFailure(trial_seed, "critical-equations", None, str(pi))
             )
-        miss = diagonal_kernel_failure(projected, x)
+        miss = kernel_failure(projected, KernelWitness([x] * p))
         if miss is None:
             witnesses += 1
         else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .degeneracy import KernelWitness, is_in_kernel
+from .degeneracy import KernelWitness, kernel_failure
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import Matrix
 from .rational import as_fraction, common_denominator
@@ -37,14 +37,6 @@ def random_skew_matrix(size: int, seed: int) -> Matrix:
             rows[i][j] = value
             rows[j][i] = -value
     return rows
-
-
-def det2(matrix: Sequence[Sequence]) -> Fraction:
-    if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
-        raise ValueError("need a 2 x 2 matrix")
-    a, b = (as_fraction(v) for v in matrix[0])
-    c, d = (as_fraction(v) for v in matrix[1])
-    return a * d - b * c
 
 
 def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
@@ -80,22 +72,10 @@ def _integer_pfaffian(m: list[list[int]], indices: tuple[int, ...]) -> int:
     return total
 
 
-def _check_222(tensor: Tensor) -> None:
-    if tensor.order != 3 or tensor.dim != 2:
-        raise ValueError("expected an order-3 tensor of dimension 2")
-
-
-def pencil_slices(tensor: Tensor) -> tuple[Matrix, Matrix]:
-    """The two 2 x 2 slices obtained by fixing the first index to 0 and 1."""
-    _check_222(tensor)
-    a0 = [[tensor.entry((0, j, k)) for k in range(2)] for j in range(2)]
-    a1 = [[tensor.entry((1, j, k)) for k in range(2)] for j in range(2)]
-    return a0, a1
-
-
 def schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:
     """Coefficients (b0, b1, b2) of det(A0 + t A1) in t: minors of the numerators over den^2."""
-    _check_222(tensor)
+    if tensor.order != 3 or tensor.dim != 2:
+        raise ValueError("expected an order-3 tensor of dimension 2")
     a000, a001, a010, a011, a100, a101, a110, a111 = tensor.nums
     scale = tensor.den**2
     b0 = a000 * a011 - a001 * a010
@@ -116,31 +96,20 @@ def hyperdet_222(tensor: Tensor) -> Fraction:
 _PROBE_VECTORS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2))
 
 
-def degeneracy_crosscheck_222(
-    tensor: Tensor, witness: Optional[KernelWitness] = None
-) -> tuple[str, Optional[KernelWitness]]:
+def degeneracy_crosscheck_222(tensor: Tensor) -> tuple[str, Optional[KernelWitness]]:
     """Compare the invariant's verdict with direct kernel evidence.
 
-    With a witness supplied, it must genuinely lie in the kernel; the verdict
-    is then "consistent" iff the invariant vanishes.  Without one, a fixed
-    integer probe grid is searched; "inconsistent" is returned only when a
-    found witness contradicts a nonzero invariant.  A vanishing invariant with
-    no rational witness found is still "consistent": the guaranteed witness
-    may need an extension field.
+    A fixed integer probe grid is searched for a kernel witness;
+    "inconsistent" is returned only when a found witness contradicts a
+    nonzero invariant.  A vanishing invariant with no rational witness found
+    is still "consistent": the guaranteed witness may need an extension field.
 
     The search reads the numerators (the condition is homogeneous), z fastest.
     With M = A(x, ., .) the slot-3 slice y M has no z, so y M != 0 skips all six
     z; each other z is tested on the slices M z and (y A(i, ., .) z)_i.  The first
-    triple that passes is confirmed by `is_in_kernel`, the slot-slice route.
+    triple that passes is confirmed by `kernel_failure`, the slot-slice route.
     """
     value = hyperdet_222(tensor)  # checks the format
-    if witness is not None:
-        if witness.order != 3 or witness.dim != 2:
-            raise ValueError("witness does not match a 2 x 2 x 2 tensor")
-        if not is_in_kernel(tensor, witness):
-            raise ValueError("supplied witness is not in the kernel")
-        return ("consistent" if value == 0 else "inconsistent"), witness
-
     a = tensor.nums  # a[4i + 2j + k]
     for x in _PROBE_VECTORS:
         m00, m01, m10, m11 = (x[0] * u + x[1] * v for u, v in zip(a[:4], a[4:]))
@@ -151,7 +120,7 @@ def degeneracy_crosscheck_222(
             for z in _PROBE_VECTORS:
                 if not any(u * z[0] + v * z[1] for u, v in [(m00, m01), (m10, m11), *r]):
                     found = KernelWitness((x, (y0, y1), z))
-                    if not is_in_kernel(tensor, found):
+                    if kernel_failure(tensor, found) is not None:
                         raise InternalConsistencyError(f"{found} fails the slot slices")
                     return ("consistent" if value == 0 else "inconsistent"), found
     return "consistent", None

@@ -8,9 +8,9 @@ Two different "partitions" live here and never mix:
 * ``SetPartition`` — a partition of the index set {1, ..., p} into disjoint
   nonempty blocks, kept in a canonical form so equality is structural.
 
-Tableau counts are characters at the identity.  Size guards keep everything
-exact and fast: enumeration and characters stop at weight 12, tableau counts
-at weight 8.
+The number f^lam of standard tableaux is the character at the identity,
+``character(lam, (1,) * p)``.  Size guards keep everything exact and fast:
+enumeration and characters stop at weight 12.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Iterable, Iterator
 from .errors import SizeGuardError
 
 MAX_ENUMERATION_WEIGHT = 12
-MAX_TABLEAU_WEIGHT = 8
 MAX_SET_PARTITION_GROUND = 8
 
 
@@ -82,10 +81,6 @@ class Partition:
     def to_json_obj(self) -> list[int]:
         return list(self.parts)
 
-    @staticmethod
-    def from_json_obj(obj) -> Partition:
-        return Partition(obj)
-
 
 @dataclass(frozen=True)
 class SetPartition:
@@ -142,10 +137,6 @@ class SetPartition:
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
-
-    @staticmethod
-    def from_json_obj(obj) -> SetPartition:
-        return SetPartition(obj)
 
 
 @lru_cache(maxsize=None)
@@ -239,16 +230,6 @@ def character(lam: Partition, cycle_type: tuple[int, ...]) -> int:
         jumped = sum(1 for c in beta if b - r < c < b)
         total += (-1) ** jumped * character(smaller, rest)
     return total
-
-
-@lru_cache(maxsize=None)
-def standard_tableau_count(lam: Partition) -> int:
-    """Standard tableaux of shape lam: the character at the identity, its degree."""
-    if lam.weight > MAX_TABLEAU_WEIGHT:
-        raise SizeGuardError(
-            f"standard_tableau_count supports weight <= {MAX_TABLEAU_WEIGHT}, got {lam.weight}"
-        )
-    return character(lam, (1,) * lam.weight)
 
 
 def is_exceptional(lam: Partition) -> bool:

@@ -302,7 +302,8 @@ def column_antisymmetrizer(lam: Partition) -> AlgebraElement:
 def young_symmetrizer(lam: Partition) -> AlgebraElement:
     """Product (row symmetrizer) * (column antisymmetrizer) for lam.
 
-    Squares to (p! / standard_tableau_count(lam)) times itself.
+    Squares to (p! / f) times itself, f = character(lam, (1,) * p) the number
+    of standard tableaux of shape lam.
     """
     return row_symmetrizer(lam) * column_antisymmetrizer(lam)
 

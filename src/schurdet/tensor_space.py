@@ -64,6 +64,13 @@ def _dense_size(order: int, dim: int) -> int:
     return size
 
 
+def _tensor_size(order: int, dim: int) -> int:
+    """_dense_size for a tensor, whose order must be positive."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    return _dense_size(order, dim)
+
+
 @dataclass(frozen=True)
 class Tensor:
     """Immutable dense tensor nums[i] / den, den > 0 and gcd(den, *nums) == 1, so
@@ -76,9 +83,7 @@ class Tensor:
     den: int
 
     def __init__(self, order: int, dim: int, entries: Iterable):
-        if order < 1:
-            raise ValueError("order must be positive")
-        size = _dense_size(order, dim)
+        size = _tensor_size(order, dim)
         values = [as_fraction(v) for v in entries]
         if len(values) != size:
             raise ValueError(f"expected {size} entries, got {len(values)}")
@@ -102,12 +107,12 @@ class Tensor:
 
     @classmethod
     def zero(cls, order: int, dim: int) -> Tensor:
-        return cls._from_ints(order, dim, [0] * _dense_size(order, dim), 1)
+        return cls._from_ints(order, dim, [0] * _tensor_size(order, dim), 1)
 
     @classmethod
     def from_map(cls, order: int, dim: int, assignments: dict) -> Tensor:
         """Build from {(i_1, ..., i_p): value} with 0-based indices; rest zero."""
-        entries = [Fraction(0)] * _dense_size(order, dim)
+        entries = [Fraction(0)] * _tensor_size(order, dim)
         for indices, value in assignments.items():
             entries[cls._flat(dim, order, tuple(indices))] = as_fraction(value)
         return cls(order, dim, entries)
@@ -355,7 +360,7 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
 
 def random_tensor(order: int, dim: int, seed: int) -> Tensor:
     """Seeded tensor with integer entries in [-9, 9], drawn in flat entry order."""
-    size = _dense_size(order, dim)
+    size = _tensor_size(order, dim)
     rng = SplitMix64(seed)
     return Tensor._from_ints(order, dim, [rng.next_int(-9, 9) for _ in range(size)], 1)
 

@@ -8,24 +8,18 @@ those on integer numerators over one denominator), the isotypic projector
 from the Young symmetrizer, by explicit conjugation and by class masses (the
 library builds it from characters), rank and determinant by Fraction
 Gaussian elimination (the library eliminates fraction-free on integers), the
-Pfaffian by Fraction expansion over copied minors and the 2x2x2 kernel probe
-search over KernelWitness candidates and slot slices (the library runs both on
-integers).  Agreement with the library is then a genuine two-route check.
+Pfaffian by Fraction expansion over copied minors, the 2x2x2 kernel probe
+search over KernelWitness candidates and slot slices, and the Schläfli
+coefficients from Fraction 2 x 2 determinants of the first-index pencil (the
+library runs all three on integers; the pencil route lives only here).
+Agreement with the library is then a genuine two-route check.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from schurdet import (
-    KernelWitness,
-    Partition,
-    Tensor,
-    as_fraction,
-    det2,
-    is_in_kernel,
-    pencil_slices,
-)
+from schurdet import KernelWitness, Partition, Tensor, as_fraction, kernel_failure
 from schurdet.perm_algebra import AlgebraElement, all_permutations, young_symmetrizer
 
 
@@ -268,17 +262,26 @@ def reference_grid_witness(tensor: Tensor) -> KernelWitness | None:
     """First probe triple, x slowest and z fastest, whose slot slices all vanish."""
     for triple in itertools.product(GRID_PROBES, repeat=3):
         candidate = KernelWitness(triple)
-        if is_in_kernel(tensor, candidate):
+        if kernel_failure(tensor, candidate) is None:
             return candidate
     return None
 
 
+def _det2(m) -> Fraction:
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _pencil_slices(tensor: Tensor):
+    """The two 2 x 2 Fraction slices obtained by fixing the first index to 0 and 1."""
+    return [[[tensor.entry((i, j, k)) for k in range(2)] for j in range(2)] for i in range(2)]
+
+
 def reference_schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:
     """(b0, b1, b2) of det(A0 + t A1) from Fraction 2 x 2 determinants of the pencil."""
-    a0, a1 = pencil_slices(tensor)
-    b0, b2 = det2(a0), det2(a1)
+    a0, a1 = _pencil_slices(tensor)
+    b0, b2 = _det2(a0), _det2(a1)
     summed = [[a0[i][j] + a1[i][j] for j in range(2)] for i in range(2)]
-    return b0, det2(summed) - b0 - b2, b2
+    return b0, _det2(summed) - b0 - b2, b2
 
 
 def reference_pfaffian(rows) -> Fraction:

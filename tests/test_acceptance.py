@@ -11,20 +11,22 @@ from fractions import Fraction
 
 import oracles
 from schurdet import (
+    KernelWitness,
     Partition,
     all_partitions,
     all_permutations,
     antisymmetrize,
-    critical_equations_hold,
+    character,
+    critical_equation_failures,
     critical_set,
     degeneracy_crosscheck_222,
     degeneracy_sweep,
     derived_seed,
     det_exact,
-    diagonal_kernel_failure,
     evaluate,
     hyperdet_222,
     is_exceptional,
+    kernel_failure,
     isotypic_rank,
     permute_factors,
     pfaffian,
@@ -34,9 +36,8 @@ from schurdet import (
     random_tensor,
     random_vector,
     rank_one,
-    slot_system_det,
     slot_system_eigencheck,
-    standard_tableau_count,
+    slot_system_matrix,
     young_symmetrizer,
 )
 from schurdet.partitions import SetPartition
@@ -63,7 +64,7 @@ def test_criterion_1_slot_system_determinants_and_spectra():
     started = time.perf_counter()
     ok = True
     for mu1 in range(1, 11):
-        if slot_system_det(mu1) != Fraction((-1) ** mu1 * mu1):
+        if det_exact(slot_system_matrix(mu1)) != Fraction((-1) ** mu1 * mu1):
             ok = False
         if not slot_system_eigencheck(mu1):
             ok = False
@@ -105,7 +106,7 @@ def test_criterion_3_critical_equations_hold_on_components():
                 tensor = random_tensor(order, 3, derived_seed(3000, index))
                 index += 1
                 projected = project_isotypic(lam, tensor)
-                if not critical_equations_hold(lam, projected):
+                if critical_equation_failures(lam, projected):
                     ok = False
     _finish(
         "criterion 3: positive equations for critical shapes, orders 3..4, dim 3",
@@ -153,7 +154,7 @@ def test_criterion_5_antisymmetric_tensors():
             evaluations += 1
         for k in range(10):
             x = random_vector(dim, derived_seed(5200 + dim, k), nonzero=True)
-            if diagonal_kernel_failure(alt, x) is not None:
+            if kernel_failure(alt, KernelWitness([x] * 3)) is not None:
                 ok = False
             diagonal_checks += 1
     assert evaluations == 50 and diagonal_checks == 20
@@ -174,7 +175,7 @@ def test_criterion_6_isotypic_ranks_and_symmetrizer_normalization():
             for lam in all_partitions(order):
                 rank = isotypic_rank(lam, dim)
                 total += rank
-                expected = standard_tableau_count(lam) * oracles.ssyt_count(lam, dim)
+                expected = character(lam, (1,) * order) * oracles.ssyt_count(lam, dim)
                 if rank != expected:
                     ok = False
             if total != dim**order:
@@ -182,7 +183,7 @@ def test_criterion_6_isotypic_ranks_and_symmetrizer_normalization():
     for order in range(2, 6):
         for lam in all_partitions(order):
             c = young_symmetrizer(lam)
-            scalar = Fraction(math.factorial(order), standard_tableau_count(lam))
+            scalar = Fraction(math.factorial(order), character(lam, (1,) * order))
             if c * c != c.scale(scalar):
                 ok = False
     _finish(
@@ -254,7 +255,7 @@ def test_criterion_9_negative_controls():
     for k in range(5):
         sym = project_isotypic(P(3), random_tensor(3, 2, derived_seed(9000, k)))
         x = random_vector(2, derived_seed(9100, k), nonzero=True)
-        if diagonal_kernel_failure(sym, x) is not None:
+        if kernel_failure(sym, KernelWitness([x] * 3)) is not None:
             found_nonzero_slice = True
     # (b) a non-critical block shape leaves a residual on the hook component
     found_residual = False

@@ -307,6 +307,14 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_help_ranges_follow_the_guards(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_ORDER", 7)
+        monkeypatch.setattr(cli, "MAX_SWEEP_DIM", 6)
+        monkeypatch.setattr(cli, "MAX_EIGENCHECK", 20)
+        code, out, _ = run(capsys, "report", "--help")
+        assert code == 0
+        assert "(2..7)" in out and "(1..6)" in out and "(1..20)" in out
+
     @pytest.mark.parametrize(
         "argv",
         [["report", "--p", "abc"], ["verify", "nosuch"], ["critical-set"], ["frobnicate"], []],
@@ -318,10 +326,10 @@ class TestTopLevel:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_internal_consistency_error_exits_one(self, capsys, monkeypatch):
-        def broken(mu1):
+        def broken(matrix):
             raise InternalConsistencyError("slot system disagrees")
 
-        monkeypatch.setattr(cli, "slot_system_det", broken)
+        monkeypatch.setattr(cli, "det_exact", broken)
         code, out, err = run(capsys, "verify", "lemma1", "--max-mu", "1")
         assert code == 1 and out == ""
         assert err == "internal check failed: slot system disagrees\n"

@@ -5,12 +5,17 @@ that defines it.  Two ways of reaching it from elsewhere are refused:
 ``from .x import _name``, and ``Name._attr`` where ``Name`` was imported from
 another schurdet module (for example ``AlgebraElement._from_ints`` outside
 ``perm_algebra``).
+
+The package's public surface is pinned too: ``schurdet.__all__`` is sorted,
+unique, and lists exactly the public names ``__init__`` imports.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import schurdet
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schurdet"
 
@@ -74,3 +79,18 @@ def test_the_check_catches_private_reaches(source, expected):
 )
 def test_the_check_allows_own_names_dunders_and_other_packages(source):
     assert private_reaches(source) == []
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    names = schurdet.__all__
+    assert names == sorted(set(names))
+    namespace: dict = {}
+    exec("from schurdet import *", namespace)  # every entry resolves
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for name in imported if not is_private(name)} == set(names)

@@ -27,7 +27,6 @@ from schurdet import (
     random_vector,
     rank_one,
     slot_slice,
-    standard_tableau_count,
     young_symmetrizer,
 )
 from schurdet.perm_algebra import AlgebraElement
@@ -146,6 +145,23 @@ class TestTensorBasics:
         for build in builders:
             with pytest.raises(SizeGuardError):
                 build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Tensor(0, 3, [0]),
+            lambda: Tensor.zero(0, 3),
+            lambda: Tensor.from_map(0, 3, {}),
+            lambda: random_tensor(0, 2, 1),
+        ],
+        ids=["constructor", "zero", "from-map", "random-tensor"],
+    )
+    def test_order_zero_is_refused(self, build):
+        with pytest.raises(ValueError, match="order must be positive"):
+            build()
+
+    def test_weight_zero_component_still_has_rank_one(self):
+        assert isotypic_rank(P(), 3) == 1
 
     def test_dimension_one_has_one_entry_at_any_order(self):
         assert Tensor.zero(2_000_000, 1).entries == (0,)
