@@ -12,11 +12,9 @@ from .degeneracy import (
     CheckFailure,
     DegeneracyReport,
     KernelWitness,
-    antisymmetrize,
     critical_equation_failures,
     degeneracy_sweep,
     kernel_failure,
-    positive_equation_residual,
     slot_system_eigencheck,
     slot_system_matrix,
     substitution_values,
@@ -84,7 +82,6 @@ __all__ = [
     "all_partitions",
     "all_permutations",
     "all_set_partitions",
-    "antisymmetrize",
     "as_fraction",
     "character",
     "column_antisymmetrizer",
@@ -105,7 +102,6 @@ __all__ = [
     "permute_factors",
     "pfaffian",
     "positive_element",
-    "positive_equation_residual",
     "project_isotypic",
     "random_skew_matrix",
     "random_tensor",

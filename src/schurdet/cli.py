@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -64,16 +64,16 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    order: int
-    dim: int
+    p: int
+    n: int
     trials: Optional[int]
     seed: int
     max_mu: int
 
     def __post_init__(self):
-        if not 2 <= self.order <= MAX_SWEEP_ORDER:
+        if not 2 <= self.p <= MAX_SWEEP_ORDER:
             raise UsageError(f"--p must be in 2..{MAX_SWEEP_ORDER}")
-        if not 1 <= self.dim <= MAX_SWEEP_DIM:
+        if not 1 <= self.n <= MAX_SWEEP_DIM:
             raise UsageError(f"--n must be in 1..{MAX_SWEEP_DIM}")
         if self.trials is not None and self.trials < 1:
             raise UsageError("--trials must be at least 1")
@@ -84,13 +84,7 @@ class SuiteConfig:
         return self.trials if self.trials is not None else DEFAULT_TRIALS[suite]
 
     def to_json_obj(self) -> dict:
-        return {
-            "p": self.order,
-            "n": self.dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_mu": self.max_mu,
-        }
+        return asdict(self)
 
 
 def _parse_partition(text: str) -> Partition:
@@ -135,10 +129,10 @@ def run_t2(config: SuiteConfig) -> dict:
     trials = config.trials_for("t2")
     checks = []
     seeds = SplitMix64(config.seed)
-    for lam in all_partitions(config.order):
+    for lam in all_partitions(config.p):
         ok = True
         for _ in range(trials):
-            tensor = random_tensor(config.order, config.dim, seeds.next_u64())
+            tensor = random_tensor(config.p, config.n, seeds.next_u64())
             projected = project_isotypic(lam, tensor)
             if critical_equation_failures(lam, projected):
                 ok = False
@@ -156,14 +150,14 @@ def run_main(config: SuiteConfig) -> dict:
     trials = config.trials_for("main")
     shapes = [
         lam
-        for lam in all_partitions(config.order)
-        if not is_exceptional(lam) and lam.rows <= config.dim
+        for lam in all_partitions(config.p)
+        if not is_exceptional(lam) and lam.rows <= config.n
     ]
     checks = []
     notes = []
     seeds = SplitMix64(config.seed)
     for lam in shapes:
-        report = degeneracy_sweep(lam, config.dim, trials, seeds.next_u64())
+        report = degeneracy_sweep(lam, config.n, trials, seeds.next_u64())
         checks.append(
             {
                 "name": str(lam),
@@ -174,7 +168,7 @@ def run_main(config: SuiteConfig) -> dict:
         )
     if not shapes:
         notes.append(
-            f"order {config.order}, dim {config.dim}: every shape that meets the "
+            f"order {config.p}, dim {config.n}: every shape that meets the "
             "dimension bound is exceptional; nothing to sweep"
         )
     result = _finish(checks)
@@ -256,12 +250,6 @@ SUITES = {
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _config_from_args(args) -> SuiteConfig:
-    return SuiteConfig(
-        order=args.p, dim=args.n, trials=args.trials, seed=args.seed, max_mu=args.max_mu
-    )
-
-
 def cmd_critical_set(args) -> int:
     lam = _parse_partition(args.partition)
     critical = _sorted_partitions(critical_set(lam))
@@ -280,7 +268,7 @@ def cmd_critical_set(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
+    config = SuiteConfig(args.p, args.n, args.trials, args.seed, args.max_mu)
     result = SUITES[args.suite](config)
     doc = {"suite": args.suite, "config": config.to_json_obj(), **result}
     if args.output == "json":
@@ -331,7 +319,7 @@ def cmd_hyperdet(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = _config_from_args(args)
+    config = SuiteConfig(args.p, args.n, args.trials, args.seed, args.max_mu)
     suites = {}
     timings = {}
     notes = []
@@ -341,7 +329,7 @@ def cmd_report(args) -> int:
         timings[name] = round(time.perf_counter() - start, 6)
         notes.extend(result.pop("notes", []))
         suites[name] = result
-    if config.order == 2:
+    if config.p == 2:
         notes.append("order 2 has only the two exceptional shapes")
     verdict = "pass" if all(s["verdict"] == "pass" for s in suites.values()) else "fail"
     doc = {

@@ -11,20 +11,18 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidWitnessError, SizeGuardError
 from .linalg import Matrix, rank_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
-from .perm_algebra import column_antisymmetrizer, positive_element
+from .perm_algebra import positive_element
 from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
     Vector,
     algebra_action,
     evaluate,
-    is_zero_vector,
     make_vector,
     project_isotypic,
     random_tensor,
@@ -52,7 +50,7 @@ class KernelWitness:
         if any(len(v) != dim for v in vecs):
             raise InvalidWitnessError("witness vectors must share one dimension")
         for j, vec in enumerate(vecs, start=1):
-            if is_zero_vector(vec):
+            if not any(vec):
                 raise InvalidWitnessError(f"witness vector in slot {j} is zero")
         object.__setattr__(self, "vectors", vecs)
 
@@ -82,20 +80,6 @@ def kernel_failure(
     return None
 
 
-def antisymmetrize(tensor: Tensor) -> Tensor:
-    """Project onto fully alternating tensors: average of signed slot permutations."""
-    p = tensor.order
-    signed_sum = column_antisymmetrizer(Partition([1] * p))
-    return algebra_action(signed_sum.scale(Fraction(1, factorial(p))), tensor)
-
-
-def positive_equation_residual(pi: SetPartition, tensor: Tensor) -> Tensor:
-    """Action on the tensor of the unsigned sum over permutations preserving pi."""
-    if pi.ground_size != tensor.order:
-        raise ValueError("set partition ground size must equal the tensor order")
-    return algebra_action(positive_element(pi), tensor)
-
-
 def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartition]:
     """Set partitions with critical shape whose positive equation fails on the tensor.
 
@@ -111,7 +95,7 @@ def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartit
     for pi in all_set_partitions(tensor.order):
         if pi.shape() not in shapes:
             continue
-        if not positive_equation_residual(pi, tensor).is_zero:
+        if not algebra_action(positive_element(pi), tensor).is_zero:
             failures.append(pi)
     return failures
 

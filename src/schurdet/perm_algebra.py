@@ -199,20 +199,6 @@ class AlgebraElement:
     def __repr__(self) -> str:
         return " + ".join(f"{c}*{p}" for p, c in self.terms) or "0"
 
-    def to_json_obj(self) -> list[dict]:
-        return [{"perm": list(p.images), "coeff": str(c)} for p, c in self.terms]
-
-    @staticmethod
-    def from_json_obj(obj, degree: int | None = None) -> AlgebraElement:
-        terms: dict[Permutation, Fraction] = {}
-        for item in obj:
-            perm = Permutation(item["perm"])
-            terms[perm] = terms.get(perm, Fraction(0)) + as_fraction(item["coeff"])
-            degree = perm.degree if degree is None else degree
-        if degree is None:
-            raise ValueError("cannot infer degree of an empty element")
-        return AlgebraElement(degree, terms)
-
 
 def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     """Group algebra product: bilinear extension of composition.

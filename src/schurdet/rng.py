@@ -34,9 +34,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, bound: int) -> int:
-        """Uniform draw from {0, ..., bound-1} by rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform draw from {0, ..., bound-1} by rejection sampling; bound <= 2**64."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must be in 1..2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()

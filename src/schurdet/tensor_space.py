@@ -42,10 +42,6 @@ def make_vector(values: Iterable) -> Vector:
     return tuple(as_fraction(v) for v in values)
 
 
-def is_zero_vector(vec: Sequence[Fraction]) -> bool:
-    return all(v == 0 for v in vec)
-
-
 def _dense_size(order: int, dim: int) -> int:
     """dim**order, refused as soon as a partial product passes MAX_DENSE_SIZE.
 
@@ -290,14 +286,13 @@ def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
 
 
 def evaluate(tensor: Tensor, vectors: Sequence[Sequence]) -> Fraction:
-    """Full evaluation A(x^1, ..., x^p): the slot-1 slice paired with x^1."""
+    """Full evaluation A(x^1, ..., x^p): contract_first once per slot, x^1 first."""
     if len(vectors) != tensor.order:
         raise ValueError("need one vector per slot")
-    first = make_vector(vectors[0])
-    if len(first) != tensor.dim:
-        raise ValueError("vector length must equal the tensor dimension")
-    covector = slot_slice(tensor, vectors, 1)
-    return sum((a * b for a, b in zip(first, covector)), Fraction(0))
+    value = tensor
+    for vec in vectors:
+        value = contract_first(value, vec)
+    return value
 
 
 def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> Vector:
@@ -372,6 +367,6 @@ def random_vector(dim: int, seed: int, nonzero: bool = False) -> Vector:
     rng = SplitMix64(seed)
     for _ in range(64):
         vec = tuple(Fraction(rng.next_int(-9, 9)) for _ in range(dim))
-        if not nonzero or not is_zero_vector(vec):
+        if not nonzero or any(vec):
             return vec
     raise InternalConsistencyError("could not draw a nonzero vector")

@@ -13,9 +13,9 @@ import oracles
 from schurdet import (
     KernelWitness,
     Partition,
+    algebra_action,
     all_partitions,
     all_permutations,
-    antisymmetrize,
     character,
     critical_equation_failures,
     critical_set,
@@ -30,7 +30,7 @@ from schurdet import (
     isotypic_rank,
     permute_factors,
     pfaffian,
-    positive_equation_residual,
+    positive_element,
     project_isotypic,
     random_skew_matrix,
     random_tensor,
@@ -143,7 +143,7 @@ def test_criterion_5_antisymmetric_tensors():
     evaluations = 0
     diagonal_checks = 0
     for dim in (3, 4):
-        alt = antisymmetrize(random_tensor(3, dim, derived_seed(5000, dim)))
+        alt = project_isotypic(P(1, 1, 1), random_tensor(3, dim, derived_seed(5000, dim)))
         for k in range(25):
             base = derived_seed(5100 + dim, k)
             x = random_vector(dim, derived_seed(base, 0))
@@ -262,7 +262,7 @@ def test_criterion_9_negative_controls():
     pi = SetPartition([[1, 2], [3]])
     for k in range(5):
         projected = project_isotypic(P(2, 1), random_tensor(3, 3, derived_seed(9200, k)))
-        if not positive_equation_residual(pi, projected).is_zero:
+        if not algebra_action(positive_element(pi), projected).is_zero:
             found_residual = True
     ok = found_nonzero_slice and found_residual
     _finish("criterion 9: negative controls stay nonzero", ok, started, None)

@@ -21,7 +21,6 @@ from schurdet import (
     isotypic_rank,
     permute_factors,
     positive_element,
-    positive_equation_residual,
     project_isotypic,
     random_tensor,
     random_vector,
@@ -410,7 +409,7 @@ class TestYoungSubgroupSums:
         t = Tensor(order, dim, [F(k % 11 - 5) / (k % 4 + 1) for k in range(dim**order)])
         for pi in all_set_partitions(order):
             expected = reference_algebra_action(positive_element(pi), t)
-            assert positive_equation_residual(pi, t) == expected
+            assert algebra_action(positive_element(pi), t) == expected
 
 
 def assert_canonical(t):
@@ -567,6 +566,18 @@ class TestProjection:
         sym = project_isotypic(P(3), t)
         for sigma in all_permutations(3):
             assert permute_factors(sigma, sym) == sym
+
+    @settings(max_examples=40)
+    @given(fraction_tensors())
+    @example(Tensor(4, 2, [F(k - 7) / (k % 3 + 1) for k in range(16)]))
+    @example(Tensor(5, 2, [F(k % 11 - 5) / (k % 4 + 1) for k in range(32)]))
+    def test_single_column_is_the_signed_mean(self, t):
+        # the exterior power: (1/p!) * sum of sign(sigma) * (sigma . t)
+        total = Tensor.zero(t.order, t.dim)
+        for sigma in all_permutations(t.order):
+            total = total + permute_factors(sigma, t).scale(sigma.sign)
+        expected = total.scale(F(1) / math.factorial(t.order))
+        assert project_isotypic(Partition([1] * t.order), t) == expected
 
     def test_weight_must_match_order(self):
         with pytest.raises(ValueError):
