@@ -42,12 +42,8 @@ from .perm_algebra import (
     AlgebraElement,
     Permutation,
     all_permutations,
-    column_antisymmetrizer,
-    column_group,
     isotypic_projector,
     positive_element,
-    row_group,
-    row_symmetrizer,
     young_symmetrizer,
 )
 from .rational import as_fraction
@@ -84,8 +80,6 @@ __all__ = [
     "all_set_partitions",
     "as_fraction",
     "character",
-    "column_antisymmetrizer",
-    "column_group",
     "critical_equation_failures",
     "critical_set",
     "degeneracy_crosscheck_222",
@@ -108,8 +102,6 @@ __all__ = [
     "random_vector",
     "rank_exact",
     "rank_one",
-    "row_group",
-    "row_symmetrizer",
     "schlafli_coefficients",
     "slot_slice",
     "slot_system_eigencheck",

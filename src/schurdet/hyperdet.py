@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .degeneracy import KernelWitness, kernel_failure
 from .errors import InternalConsistencyError, SizeGuardError
-from .linalg import Matrix
+from .linalg import MAX_DET_SIZE, Matrix
 from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 from .tensor_space import Tensor
@@ -26,9 +26,14 @@ MAX_PFAFFIAN = 8
 
 
 def random_skew_matrix(size: int, seed: int) -> Matrix:
-    """Seeded skew-symmetric matrix, entries in [-9, 9] above the diagonal."""
+    """Seeded skew-symmetric matrix, entries in [-9, 9] above the diagonal.
+
+    A size det_exact would refuse is refused before any entry is drawn.
+    """
     if size < 0:
         raise ValueError("size must be nonnegative")
+    if size > MAX_DET_SIZE:
+        raise SizeGuardError(f"skew matrices are drawn to size {MAX_DET_SIZE}, got {size}")
     rng = SplitMix64(seed)
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import SizeGuardError
 
@@ -68,12 +68,6 @@ class Partition:
         return Partition(
             sum(1 for v in self.parts if v > i) for i in range(self.parts[0])
         )
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.parts) + ")"
@@ -172,7 +166,7 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     if lam.weight != mu.weight:
         return False
     a = b = 0
-    for i in range(max(len(lam), len(mu))):
+    for i in range(max(lam.rows, mu.rows)):
         a += lam.part(i)
         b += mu.part(i)
         if a > b:
@@ -188,12 +182,7 @@ def critical_set(lam: Partition) -> frozenset[Partition]:
     weight: form the down-set D = {mu : mu <= lam}, take the complement, and
     keep its minimal elements.
     """
-    weight = lam.weight
-    if weight > MAX_ENUMERATION_WEIGHT:
-        raise SizeGuardError(
-            f"critical_set supports weight <= {MAX_ENUMERATION_WEIGHT}, got {weight}"
-        )
-    outside = [mu for mu in all_partitions(weight) if not dominance_leq(mu, lam)]
+    outside = [mu for mu in all_partitions(lam.weight) if not dominance_leq(mu, lam)]
     return frozenset(
         mu
         for mu in outside

@@ -4,8 +4,10 @@ Composition convention, fixed globally: ``(s * t)(i) = s(t(i))`` — the right
 factor acts first.  Every symmetrizer and every tensor action in the package
 derives from this single choice.
 
-The row/column subgroups of a Young diagram use the row-major filling: boxes
-numbered consecutively left to right, top to bottom.
+Every group is enumerated as a Young subgroup: the permutations moving each
+block of a set partition within itself.  The Young symmetrizer takes its rows
+and columns from the row-major filling: boxes numbered consecutively left to
+right, top to bottom.
 
 An AlgebraElement holds integer numerators over one denominator, as a Tensor
 does, and multiply works on those integers; scalars are Fractions at the API.
@@ -106,7 +108,7 @@ class Permutation:
 
 def all_permutations(degree: int) -> list[Permutation]:
     """The whole symmetric group on 1..degree, images in lexicographic order."""
-    return _block_stabilizer(degree, [tuple(range(1, degree + 1))])
+    return [Permutation(g) for g in _young_subgroup(degree, (tuple(range(1, degree + 1)),))]
 
 
 @dataclass(frozen=True)
@@ -225,78 +227,25 @@ def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._from_ints(left.degree, acc, left.den * right.den)
 
 
-def _row_major_rows(lam: Partition) -> list[tuple[int, ...]]:
-    rows = []
-    start = 1
-    for length in lam.parts:
-        rows.append(tuple(range(start, start + length)))
-        start += length
-    return rows
-
-
-def _row_major_columns(lam: Partition) -> list[tuple[int, ...]]:
-    rows = _row_major_rows(lam)
-    width = lam.parts[0] if lam.parts else 0
-    return [
-        tuple(row[j] for row in rows if len(row) > j) for j in range(width)
-    ]
-
-
-def _block_stabilizer(degree: int, blocks: list[tuple[int, ...]]) -> list[Permutation]:
-    """All permutations of 1..degree mapping each listed block to itself.
+@lru_cache(maxsize=None)
+def _young_subgroup(ground_size: int, blocks: tuple) -> tuple[tuple[int, ...], ...]:
+    """Image tuples of the permutations of 1..ground_size mapping each block to itself.
 
     Every group enumeration comes here, so MAX_GROUP_DEGREE is checked before
-    the first permutation is built.
+    the first image tuple is built.
     """
-    if degree > MAX_GROUP_DEGREE:
+    if ground_size > MAX_GROUP_DEGREE:
         raise SizeGuardError(
-            f"groups are enumerated to degree {MAX_GROUP_DEGREE}, got {degree}"
+            f"groups are enumerated to degree {MAX_GROUP_DEGREE}, got {ground_size}"
         )
     out = []
     for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        images = list(range(1, degree + 1))
-        for block, perm_of_block in zip(blocks, choice):
-            for source, target in zip(block, perm_of_block):
+        images = list(range(1, ground_size + 1))
+        for block, targets in zip(blocks, choice):
+            for source, target in zip(block, targets):
                 images[source - 1] = target
-        out.append(Permutation(images))
-    return out
-
-
-def row_group(lam: Partition) -> list[Permutation]:
-    """Permutations preserving each row of the row-major filling of lam."""
-    return _block_stabilizer(lam.weight, _row_major_rows(lam))
-
-
-def column_group(lam: Partition) -> list[Permutation]:
-    """Permutations preserving each column of the row-major filling of lam."""
-    return _block_stabilizer(lam.weight, _row_major_columns(lam))
-
-
-@lru_cache(maxsize=None)
-def row_symmetrizer(lam: Partition) -> AlgebraElement:
-    """Sum of the row group, all coefficients +1."""
-    return AlgebraElement(lam.weight, dict.fromkeys(row_group(lam), 1))
-
-
-@lru_cache(maxsize=None)
-def column_antisymmetrizer(lam: Partition) -> AlgebraElement:
-    """Signed sum of the column group."""
-    return AlgebraElement(lam.weight, {p: p.sign for p in column_group(lam)})
-
-
-@lru_cache(maxsize=None)
-def young_symmetrizer(lam: Partition) -> AlgebraElement:
-    """Product (row symmetrizer) * (column antisymmetrizer) for lam.
-
-    Squares to (p! / f) times itself, f = character(lam, (1,) * p) the number
-    of standard tableaux of shape lam.
-    """
-    return row_symmetrizer(lam) * column_antisymmetrizer(lam)
-
-
-@lru_cache(maxsize=None)
-def _young_subgroup(ground_size: int, blocks: tuple) -> tuple[tuple[int, ...], ...]:
-    return tuple(g.images for g in _block_stabilizer(ground_size, list(blocks)))
+        out.append(tuple(images))
+    return tuple(out)
 
 
 def positive_element(pi: SetPartition) -> AlgebraElement:
@@ -307,6 +256,30 @@ def positive_element(pi: SetPartition) -> AlgebraElement:
     """
     support = _young_subgroup(pi.ground_size, pi.blocks)
     return AlgebraElement._from_ints(pi.ground_size, dict.fromkeys(support, 1), 1)
+
+
+def _row_major_tableau(lam: Partition) -> tuple[SetPartition, SetPartition]:
+    """The rows and the columns of the row-major filling of lam."""
+    rows, start = [], 1
+    for length in lam.parts:
+        rows.append(range(start, start + length))
+        start += length
+    columns = [[x for x in col if x is not None] for col in itertools.zip_longest(*rows)]
+    return SetPartition(rows), SetPartition(columns)
+
+
+@lru_cache(maxsize=None)
+def young_symmetrizer(lam: Partition) -> AlgebraElement:
+    """Product (row sum) * (signed column sum) for the row-major filling of lam.
+
+    The row sum is the positive element of the rows' set partition; the column
+    sum runs over the Young subgroup of the columns, each permutation weighted
+    by its sign.  Squares to (p! / f) times itself, f = character(lam, (1,) * p)
+    the number of standard tableaux of shape lam.
+    """
+    rows, columns = _row_major_tableau(lam)
+    signed = {g: Permutation(g).sign for g in _young_subgroup(lam.weight, columns.blocks)}
+    return positive_element(rows) * AlgebraElement._from_ints(lam.weight, signed, 1)
 
 
 @lru_cache(maxsize=None)

@@ -361,9 +361,11 @@ def random_tensor(order: int, dim: int, seed: int) -> Tensor:
 
 
 def random_vector(dim: int, seed: int, nonzero: bool = False) -> Vector:
-    """Seeded vector with integer entries in [-9, 9]; optionally rejected until nonzero."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    """Seeded vector with integer entries in [-9, 9]; optionally rejected until nonzero.
+
+    A vector is an order-1 tensor, so dim is bounded as a tensor's size is.
+    """
+    _tensor_size(1, dim)
     rng = SplitMix64(seed)
     for _ in range(64):
         vec = tuple(Fraction(rng.next_int(-9, 9)) for _ in range(dim))

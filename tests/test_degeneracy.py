@@ -31,7 +31,7 @@ from schurdet import (
 )
 from schurdet import degeneracy
 
-from oracles import reference_algebra_action
+from oracles import reference_algebra_action, reference_evaluate
 
 
 def P(*parts):
@@ -183,6 +183,22 @@ class TestSubstitutionValues:
         # y = e1 in one slot, x = e2 elsewhere: every term has a zero factor
         assert values == [0, 0, 0]
         assert substitution_values(t, E1, E1) == [1, 1, 1]
+
+    def test_exceptional_components_take_y_in_the_named_slot(self):
+        # unlike a symmetric or rank-one tensor, these tell slot k from the all-x value
+        for lam in (P(2, 1), P(3)):
+            differs = False
+            for seed in range(4):
+                t = project_isotypic(lam, random_tensor(3, 3, 300 + seed))
+                x = random_vector(3, 400 + seed, nonzero=True)
+                y = random_vector(3, 500 + seed)
+                values = substitution_values(t, x, y)
+                for k in range(3):
+                    vectors = [x] * 3
+                    vectors[k] = y
+                    assert values[k] == reference_evaluate(t, vectors)
+                differs = differs or values != [reference_evaluate(t, [x] * 3)] * 3
+            assert differs
 
 
 class TestDegeneracySweep:

@@ -20,6 +20,8 @@ from schurdet import (
     rank_one,
     schlafli_coefficients,
 )
+from schurdet import hyperdet
+from schurdet.linalg import MAX_DET_SIZE
 
 E2 = (Fraction(0), Fraction(1))
 
@@ -113,6 +115,14 @@ class TestPfaffian:
 
     def test_skew_sampler_is_deterministic(self):
         assert random_skew_matrix(6, 4) == random_skew_matrix(6, 4)
+
+    def test_skew_sampler_guard_fires_before_the_generator_is_built(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(hyperdet, "SplitMix64", refuse)
+        with pytest.raises(SizeGuardError):
+            random_skew_matrix(MAX_DET_SIZE + 1, 1)
 
     @settings(max_examples=80)
     @given(skew_matrices())

@@ -49,8 +49,7 @@ class TestPartition:
         lam = P(4, 2, 1)
         assert lam.weight == 7
         assert lam.rows == 3
-        assert list(lam) == [4, 2, 1]
-        assert len(lam) == 3
+        assert lam.parts == (4, 2, 1)
         assert lam.part(0) == 4
         assert lam.part(5) == 0  # implicit trailing zeros
         assert str(lam) == "(4,2,1)"
@@ -247,7 +246,7 @@ class TestCharacter:
     def test_trivial_sign_and_conjugate(self):
         for w in range(1, 8):
             for nu in all_partitions(w):
-                sign = (-1) ** (w - len(nu))
+                sign = (-1) ** (w - nu.rows)
                 assert character(P(w), nu.parts) == 1
                 assert character(P(*[1] * w), nu.parts) == sign
                 for lam in all_partitions(w):

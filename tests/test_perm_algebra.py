@@ -17,12 +17,8 @@ from schurdet import (
     all_permutations,
     all_set_partitions,
     character,
-    column_antisymmetrizer,
-    column_group,
     isotypic_projector,
     positive_element,
-    row_group,
-    row_symmetrizer,
     young_symmetrizer,
 )
 from schurdet import perm_algebra
@@ -109,6 +105,7 @@ class TestPermutation:
             items = list(all_permutations(p))
             assert len(items) == math.factorial(p)
             assert len(set(items)) == len(items)
+            assert [g.images for g in items] == sorted(g.images for g in items)
 
 
 class TestAlgebraElement:
@@ -148,7 +145,7 @@ class TestAlgebraElement:
         elems = [
             AlgebraElement.from_permutation(Permutation([2, 1, 3]), 2),
             young_symmetrizer(P(2, 1)),
-            row_symmetrizer(P(2, 1)) - column_antisymmetrizer(P(2, 1)),
+            positive_element(SetPartition([[1, 3], [2]])) - young_symmetrizer(P(1, 1, 1)),
             AlgebraElement.unit(3).scale(Fraction(1, 3)),
         ]
         for a in elems:
@@ -311,26 +308,13 @@ class TestCanonicalForm:
 
 
 class TestTableauGroups:
-    def test_row_and_column_groups_of_a_hook(self):
-        lam = P(2, 1)  # filling: row one holds 1,2; row two holds 3
-        assert {g.images for g in row_group(lam)} == {(1, 2, 3), (2, 1, 3)}
-        assert {g.images for g in column_group(lam)} == {(1, 2, 3), (3, 2, 1)}
-
-    def test_group_sizes(self):
+    def test_support_is_the_row_group_times_the_column_group(self):
+        # rows and columns meet only at the identity, so every product is a distinct term
         for w in range(2, 7):
             for lam in all_partitions(w):
-                assert len(row_group(lam)) == math.prod(
-                    math.factorial(v) for v in lam.parts
-                )
-                assert len(column_group(lam)) == math.prod(
-                    math.factorial(v) for v in lam.conjugate().parts
-                )
-
-    def test_row_meets_column_only_at_identity(self):
-        for w in range(2, 7):
-            for lam in all_partitions(w):
-                overlap = set(row_group(lam)) & set(column_group(lam))
-                assert overlap == {Permutation.identity(w)}
+                rows = math.prod(math.factorial(v) for v in lam.parts)
+                columns = math.prod(math.factorial(v) for v in lam.conjugate().parts)
+                assert young_symmetrizer(lam).support_size == rows * columns
 
     def test_young_symmetrizer_of_a_row_and_a_column(self):
         row = young_symmetrizer(P(3))
@@ -375,9 +359,9 @@ class TestTableauGroups:
         with pytest.raises(SizeGuardError):
             all_permutations(9)
         with pytest.raises(SizeGuardError):
-            row_group(P(9))
+            young_symmetrizer(P(9))
         with pytest.raises(SizeGuardError):
-            column_group(P(5, 4))
+            young_symmetrizer(P(*[1] * 9))
         with pytest.raises(SizeGuardError):
             positive_element(SetPartition([range(1, 10)]))
 

@@ -641,3 +641,13 @@ class TestRandomSources:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             random_tensor(13, 2, 1)
+
+    def test_vector_guard_fires_before_the_generator_is_built(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(tensor_space, "SplitMix64", refuse)
+        with pytest.raises(SizeGuardError):
+            random_vector(tensor_space.MAX_DENSE_SIZE + 1, 1)
+        with pytest.raises(ValueError):
+            random_vector(0, 1)
