@@ -51,6 +51,7 @@ from .rng import SplitMix64, derived_seed
 from .tensor_space import (
     Tensor,
     algebra_action,
+    annihilates,
     evaluate,
     isotypic_rank,
     permute_factors,
@@ -78,6 +79,7 @@ __all__ = [
     "all_partitions",
     "all_permutations",
     "all_set_partitions",
+    "annihilates",
     "as_fraction",
     "character",
     "critical_equation_failures",

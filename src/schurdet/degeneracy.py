@@ -4,13 +4,15 @@ A witness (x^1, ..., x^p) lies in the kernel of A when every partial
 evaluation with one slot left free is the zero covector.  The sweep draws
 seeded tensors, projects them onto an isotypic component, and verifies the
 vanishing statements that component is supposed to satisfy, reporting every
-violation rather than stopping at the first.
+violation rather than stopping at the first.  A positive equation P_pi A = 0
+is a zero test of orbit sums; it builds no P_pi A.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidWitnessError, SizeGuardError
@@ -21,7 +23,7 @@ from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
     Vector,
-    algebra_action,
+    annihilates,
     evaluate,
     make_vector,
     project_isotypic,
@@ -80,24 +82,23 @@ def kernel_failure(
     return None
 
 
+@lru_cache(maxsize=None)
+def _partitions_of_shapes(ground_size: int, shapes: frozenset) -> tuple[SetPartition, ...]:
+    """The set partitions of 1..ground_size with shape in shapes, in enumeration order."""
+    return tuple(pi for pi in all_set_partitions(ground_size) if pi.shape() in shapes)
+
+
 def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartition]:
     """Set partitions with critical shape whose positive equation fails on the tensor.
 
     The tensor is expected to lie in the lam-isotypic component; the caller
-    projects first.
+    projects first.  Only the set partitions of critical shape are visited, and
+    each equation P_pi A = 0 is a zero test of orbit sums (`annihilates`).
     """
     if lam.weight != tensor.order:
         raise ValueError("partition weight must equal the tensor order")
-    shapes = critical_set(lam)
-    if not shapes:
-        return []
-    failures = []
-    for pi in all_set_partitions(tensor.order):
-        if pi.shape() not in shapes:
-            continue
-        if not algebra_action(positive_element(pi), tensor).is_zero:
-            failures.append(pi)
-    return failures
+    candidates = _partitions_of_shapes(tensor.order, critical_set(lam))
+    return [pi for pi in candidates if not annihilates(positive_element(pi), tensor)]
 
 
 def slot_system_matrix(mu1: int) -> Matrix:

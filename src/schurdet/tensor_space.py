@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
@@ -238,9 +238,9 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
 
     Image tuples are grouped by numerator.  A group that is exactly a Young
     subgroup S_B takes one pass of orbit sums, (sum of h . A over S_B)_i =
-    |Stab(i)| * (sum of A over the orbit of i); any other group sums the
-    entries its permutations gather.  Each group then costs one multiply per
-    entry.
+    |Stab(i)| * (sum of A over the orbit of i); any other group sums, column
+    by column, the entries its permutations gather with `itemgetter`.  Each
+    group then costs one multiply per entry.
     """
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
@@ -252,10 +252,9 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     for coeff, group in groups.items():
         orbits = _orbit_table(frozenset(group), tensor.dim)
         if orbits is None:
-            tables = [_perm_table(images, tensor.dim) for images in group]
-            summed = [entries[s] for s in tables[0]]
-            for table in tables[1:]:
-                summed = [a + entries[s] for a, s in zip(summed, table)]
+            gathered = [itemgetter(*_perm_table(im, tensor.dim))(entries) for im in group]
+            # a one-index itemgetter returns the entry itself, not a 1-tuple
+            summed = list(map(sum, zip(*gathered))) if len(entries) > 1 else [sum(gathered)]
         else:
             rep, stab = orbits
             sums = [0] * len(entries)
@@ -264,6 +263,22 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
             summed = [s * sums[r] for r, s in zip(rep, stab)]
         out = [o + coeff * a for o, a in zip(out, summed)]
     return Tensor._from_ints(tensor.order, tensor.dim, out, element.den * tensor.den)
+
+
+def annihilates(element: AlgebraElement, tensor: Tensor) -> bool:
+    """Whether algebra_action(element, tensor) is zero, for one coefficient over a
+    whole Young subgroup S_B (a positive element), else ValueError.  Stabiliser
+    orders are positive, so that is whether every S_B-orbit sum is zero."""
+    if element.degree != tensor.order:
+        raise ValueError("element degree must equal the tensor order")
+    one_coefficient = len(set(element.nums.values())) == 1
+    orbits = _orbit_table(frozenset(element.nums), tensor.dim) if one_coefficient else None
+    if orbits is None:
+        raise ValueError("annihilates takes one coefficient over a whole Young subgroup")
+    sums = [0] * len(tensor.nums)
+    for r, a in zip(orbits[0], tensor.nums):
+        sums[r] += a
+    return not any(sums)
 
 
 def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
@@ -327,7 +342,9 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
     """Orthogonal projection of the tensor onto its lam-isotypic component."""
     if lam.weight != tensor.order:
         raise ValueError("partition weight must equal the tensor order")
-    projector, _ = isotypic_projector(lam)
+    projector, _ = isotypic_projector(lam)  # first, so its degree bound holds at any dim
+    if lam.rows > tensor.dim:  # S_lam V = 0 when lam has more rows than dim V
+        return Tensor.zero(tensor.order, tensor.dim)
     return algebra_action(projector, tensor)
 
 

@@ -132,6 +132,20 @@ class TestPositiveEquations:
         failures = critical_equation_failures(P(2, 1), sym)
         assert SetPartition([[1, 2, 3]]) in failures
 
+    def test_failures_match_a_scan_of_every_set_partition(self):
+        # raw tensors fail many equations; the list keeps enumeration order
+        for order, dim in [(3, 3), (4, 2), (5, 2)]:
+            t = random_tensor(order, dim, 41)
+            for lam in all_partitions(order):
+                shapes = critical_set(lam)
+                expected = [
+                    pi
+                    for pi in all_set_partitions(order)
+                    if pi.shape() in shapes
+                    and not reference_algebra_action(positive_element(pi), t).is_zero
+                ]
+                assert critical_equation_failures(lam, t) == expected
+
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             critical_equation_failures(P(2, 1), random_tensor(2, 2, 1))

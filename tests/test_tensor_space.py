@@ -16,6 +16,7 @@ from schurdet import (
     all_partitions,
     all_permutations,
     all_set_partitions,
+    annihilates,
     evaluate,
     isotypic_projector,
     isotypic_rank,
@@ -412,6 +413,45 @@ class TestYoungSubgroupSums:
             assert algebra_action(positive_element(pi), t) == expected
 
 
+class TestAnnihilates:
+    """The orbit-sum zero test against the Fraction loop's zero test."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_action_for_every_set_partition(self, data):
+        order = data.draw(st.integers(1, 5), label="order")
+        dims = st.integers(1, 3 if order <= 3 else 2)
+        t = data.draw(fraction_tensors(st.just(order), dims))
+        lam = data.draw(st.sampled_from(all_partitions(order)), label="lam")
+        # a raw tensor is rarely annihilated; its component meets the critical equations
+        for tensor in (t, project_isotypic(lam, t)):
+            for pi in all_set_partitions(order):
+                element = positive_element(pi)
+                expected = reference_algebra_action(element, tensor).is_zero
+                assert annihilates(element, tensor) == expected
+
+    def test_both_answers_occur(self):
+        t = project_isotypic(P(2, 2), random_tensor(4, 2, 5))
+        assert annihilates(positive_element(SetPartition([[1, 2, 3], [4]])), t)
+        assert not annihilates(positive_element(SetPartition([[1, 2], [3, 4]])), t)
+
+    def test_other_elements_are_refused(self):
+        t = random_tensor(4, 2, 3)
+        pi = SetPartition([[1, 2], [3, 4]])
+        plus_one = young_terms(pi, F(1))
+        plus_one[Permutation.from_cycles(4, (1, 3))] = F(1)
+        # half of S_2 x S_2: the image sets are its blocks, but it is too small
+        half = young_terms(SetPartition([[1], [2], [3], [4]]), F(1))
+        half[Permutation.from_cycles(4, (1, 2), (3, 4))] = F(1)
+        two_coefficients = young_terms(pi, F(1))
+        two_coefficients[Permutation.identity(4)] = F(2)
+        for terms in (plus_one, half, two_coefficients):
+            with pytest.raises(ValueError, match="Young subgroup"):
+                annihilates(AlgebraElement(4, terms), t)
+        with pytest.raises(ValueError, match="degree"):
+            annihilates(positive_element(SetPartition([[1, 2], [3]])), t)
+
+
 def assert_canonical(t):
     assert t.den > 0
     assert math.gcd(t.den, *t.nums) == 1
@@ -506,13 +546,18 @@ class TestDimensionOne:
     """Size-1 tensors: every slot permutation fixes the single entry."""
 
     def test_algebra_action_scales_by_the_coefficient_sum(self):
-        for order in (1, 2, 3, 4):
+        # from order 2 on, the odd permutations are no Young subgroup and gather
+        # from a one-entry tuple
+        for order in (1, 2, 3, 4, 5):
             t = Tensor(order, 1, [F(5) / 3])
             element = AlgebraElement(
                 order, {p: F(p.sign) / 2 + 1 for p in all_permutations(order)}
             )
+            odd = [p for p in all_permutations(order) if p.sign < 0]
+            assert order == 1 or not is_young(odd, 1)
             total = sum((c for _, c in element.terms), F(0))
             assert algebra_action(element, t) == Tensor(order, 1, [total * F(5) / 3])
+            assert algebra_action(element, t) == reference_algebra_action(element, t)
 
     def test_project_isotypic_keeps_only_the_single_row(self):
         for order in (2, 3, 4, 5):
@@ -578,6 +623,16 @@ class TestProjection:
             total = total + permute_factors(sigma, t).scale(sigma.sign)
         expected = total.scale(F(1) / math.factorial(t.order))
         assert project_isotypic(Partition([1] * t.order), t) == expected
+
+    def test_more_rows_than_the_dimension_matches_the_full_projection(self):
+        # project_isotypic answers these with zero without applying the projector
+        for order in range(1, 6):
+            for lam in all_partitions(order):
+                for dim in range(1, min(lam.rows - 1, 3) + 1):
+                    t = random_tensor(order, dim, 100 * order + dim).scale(F(1) / 7)
+                    expected = reference_algebra_action(isotypic_projector(lam)[0], t)
+                    assert expected.is_zero
+                    assert project_isotypic(lam, t) == expected
 
     def test_weight_must_match_order(self):
         with pytest.raises(ValueError):
