@@ -55,6 +55,7 @@ from .tensor_space import (
 )
 
 DEFAULT_TRIALS = {"t2": 5, "main": 20, "pfaffian": 20, "hyperdet222": 50}
+MAX_TRIALS = 1000  # twenty times the largest default
 PFAFFIAN_SIZES = (2, 4, 6)
 
 
@@ -75,8 +76,8 @@ class SuiteConfig:
             raise UsageError(f"--p must be in 2..{MAX_SWEEP_ORDER}")
         if not 1 <= self.n <= MAX_SWEEP_DIM:
             raise UsageError(f"--n must be in 1..{MAX_SWEEP_DIM}")
-        if self.trials is not None and self.trials < 1:
-            raise UsageError("--trials must be at least 1")
+        if self.trials is not None and not 1 <= self.trials <= MAX_TRIALS:
+            raise UsageError(f"--trials must be in 1..{MAX_TRIALS}")
         if not 1 <= self.max_mu <= MAX_EIGENCHECK:
             raise UsageError(f"--max-mu must be in 1..{MAX_EIGENCHECK}")
 

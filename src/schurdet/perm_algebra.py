@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -205,26 +206,62 @@ class AlgebraElement:
 def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     """Group algebra product: bilinear extension of composition.
 
-    The right factor's image tuples are grouped by numerator, so each (sigma,
-    group) pair costs one integer multiply.  sigma * tau is composed on the
-    image tuples, permutations by construction, and its numerator accumulated
-    by tuple over the product of the two denominators.
+    The left factor's image tuples are grouped by numerator.  A group that is
+    exactly a Young subgroup H = S_B goes by coset sums: the coefficient of g in
+    (sum of H) * right is right's sum over the coset Hg, keyed by the block of
+    each image, and each nonzero coset sum goes to the |H| members h * tau.  Any
+    other group composes every pair sigma * tau, one integer multiply per sigma
+    and numerator group of right.  Numerators accumulate by image tuple over the
+    product of the two denominators.
     """
     if left.degree != right.degree:
         raise ValueError("degree mismatch")
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for tau, b in right.nums.items():
-        groups.setdefault(b, []).append(tau)
-    acc: dict[tuple[int, ...], int] = {}
     for sigma, a in left.nums.items():
-        # look(j) = sigma(j); the leading 0 makes the 1-based images index directly
-        look = ((0,) + sigma).__getitem__
-        for b, taus in groups.items():
-            c = a * b
-            for images in taus:
-                key = tuple(map(look, images))
-                acc[key] = acc.get(key, 0) + c
+        groups.setdefault(a, []).append(sigma)
+    acc: dict[tuple[int, ...], int] = {}
+    right_groups: dict[int, list[tuple[int, ...]]] = {}
+    for a, group in groups.items():
+        # two or more members means degree >= 2: each itemgetter below returns a tuple
+        blocks = young_blocks(frozenset(group)) if len(group) > 1 else None
+        if blocks is not None:
+            block_of = {x: k for k, block in enumerate(blocks) for x in block}
+            cosets: dict[tuple[int, ...], list] = {}  # block pattern -> [tau, sum]
+            for tau, b in right.nums.items():
+                cosets.setdefault(itemgetter(*tau)(block_of), [tau, 0])[1] += b
+            padded = [(0,) + h for h in group]  # (h * tau)(j) = padded[tau(j)]
+            for tau, total in cosets.values():
+                if total:
+                    for g in map(itemgetter(*tau), padded):
+                        acc[g] = acc.get(g, 0) + a * total
+            continue
+        if not right_groups:
+            for tau, b in right.nums.items():
+                right_groups.setdefault(b, []).append(tau)
+        for sigma in group:
+            look = ((0,) + sigma).__getitem__  # look(j) = sigma(j)
+            for b, taus in right_groups.items():
+                c = a * b
+                for images in taus:
+                    key = tuple(map(look, images))
+                    acc[key] = acc.get(key, 0) + c
     return AlgebraElement._from_ints(left.degree, acc, left.den * right.den)
+
+
+@lru_cache(maxsize=None)
+def young_blocks(group: frozenset) -> tuple[tuple[int, ...], ...] | None:
+    """The blocks B, sorted, when a set of image tuples is exactly the Young subgroup S_B.
+
+    Each point's images form its block.  When every point lies in its own block
+    and the blocks partition the points, the set lies in S_B, and it is S_B
+    exactly when it has prod |B_k|! members; any other set gives None.
+    """
+    images = [frozenset(column) for column in zip(*group)]
+    blocks = set(images)
+    partition = sum(map(len, blocks)) == len(images) and all(x in b for x, b in enumerate(images, 1))
+    if not partition or prod(factorial(len(b)) for b in blocks) != len(group):
+        return None
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 @lru_cache(maxsize=None)

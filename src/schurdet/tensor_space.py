@@ -20,14 +20,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
-from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
+from .perm_algebra import AlgebraElement, Permutation, isotypic_projector, young_blocks
 from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 
@@ -209,28 +209,23 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
 def _orbit_table(group: frozenset, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Orbit sums for a group of image tuples that is exactly a Young subgroup S_B.
 
-    Each point's images form its block.  When every point lies in its own block
-    and the blocks partition the points, the group lies in S_B, and it is S_B
-    exactly when it has prod |B_k|! members; any other group gives None.  For
-    S_B: each flat index's orbit representative, the flat index of its digits
-    sorted within every block, and its stabiliser order |S_B| / |orbit|.
+    `young_blocks` decides S_B; any other group gives None.  For S_B: each flat
+    index's orbit representative, the flat index of its digits sorted within
+    every block, and its stabiliser order |S_B| / |orbit|.
     """
-    order = len(next(iter(group)))
-    images = [frozenset(column) for column in zip(*group)]
-    blocks = set(images)
-    group_order = prod(factorial(len(b)) for b in blocks)
-    partition = sum(map(len, blocks)) == order and all(x in b for x, b in enumerate(images, 1))
-    if not partition or group_order != len(group):
+    blocks = young_blocks(group)
+    if blocks is None:
         return None
+    order = sum(map(len, blocks))
     # the sorted digits of every block, placed in block order, with their slots' weights
-    slots = [sorted(k - 1 for k in b) for b in blocks]
+    slots = [[k - 1 for k in b] for b in blocks]
     weights = [dim ** (order - 1 - k) for block in slots for k in block]
     rep = [
         sum(map(mul, [d for block in slots for d in sorted(digits[k] for k in block)], weights))
         for digits in itertools.product(range(dim), repeat=order)
     ]
     orbit_size = Counter(rep)
-    return tuple(rep), tuple(group_order // orbit_size[r] for r in rep)
+    return tuple(rep), tuple(len(group) // orbit_size[r] for r in rep)
 
 
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
@@ -352,9 +347,11 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space.
 
     The rank of the projector's matrix, filled with its integer numerators
-    (its denominator does not change the rank) and reduced by `rank_exact`.
-    The matrix is dense size x size, so size is capped at MAX_RANK_SIZE (about
-    a million cells) before the projector or any row is built.
+    (its denominator does not change the rank).  A slot permutation keeps each
+    index's multiset of digits, so the matrix splits into one block per weight
+    space (the indices of one `_orbit_table` representative under S_p), each
+    reduced by `rank_exact`.  The whole matrix is size x size, so size is capped
+    at MAX_RANK_SIZE (about a million cells) before the projector is built.
     """
     size = _dense_size(lam.weight, dim)
     if size > MAX_RANK_SIZE:
@@ -363,11 +360,15 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
             f"{MAX_RANK_SIZE} x {MAX_RANK_SIZE} is supported"
         )
     projector, _ = isotypic_projector(lam)
-    matrix = [[0] * size for _ in range(size)]
+    rep, _ = _orbit_table(frozenset(itertools.permutations(range(1, lam.weight + 1))), dim)
+    counters = {r: itertools.count() for r in rep}
+    local = [next(counters[r]) for r in rep]  # each index's position in its weight space
+    blocks = {r: [[0] * k for _ in range(k)] for r, k in Counter(rep).items()}
+    rows = [blocks[r][i] for r, i in zip(rep, local)]
     for images, coeff in projector.nums.items():
-        for f, s in enumerate(_perm_table(images, dim)):
-            matrix[f][s] += coeff
-    return rank_exact(matrix)
+        for row, j in zip(rows, map(local.__getitem__, _perm_table(images, dim))):
+            row[j] += coeff
+    return sum(rank_exact(block) for block in blocks.values())
 
 
 def random_tensor(order: int, dim: int, seed: int) -> Tensor:

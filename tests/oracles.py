@@ -4,14 +4,16 @@ Each of these computes a value by a route the library deliberately does not
 use: closed-form counting formulas, the fully expanded quartic invariant,
 plain Fraction loops over multi-indices for the slot action, contraction and
 slicing, and over term pairs for the group algebra product (the library runs
-those on integer numerators over one denominator), the isotypic projector
-from the Young symmetrizer, by explicit conjugation and by class masses (the
-library builds it from characters), rank and determinant by Fraction
-Gaussian elimination (the library eliminates fraction-free on integers), the
-Pfaffian by Fraction expansion over copied minors, the 2x2x2 kernel probe
-search over KernelWitness candidates and slot slices, and the Schläfli
-coefficients from Fraction 2 x 2 determinants of the first-index pencil (the
-library runs all three on integers; the pencil route lives only here).
+those on integer numerators over one denominator, with coset sums for Young
+subgroups), the isotypic projector from the Young symmetrizer, by explicit
+conjugation and by class masses (the library builds it from characters), rank
+and determinant by Fraction Gaussian elimination (the library eliminates
+fraction-free on integers), the isotypic rank from one dense matrix (the
+library splits it by weight space), the Pfaffian by Fraction expansion over
+copied minors, the 2x2x2 kernel probe search over KernelWitness candidates and
+slot slices, and the Schläfli coefficients from Fraction 2 x 2 determinants of
+the first-index pencil (the library runs all three on integers; the pencil
+route lives only here).
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -185,6 +187,26 @@ def reference_multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraEl
             perm = sigma * tau
             terms[perm] = terms.get(perm, Fraction(0)) + a * b
     return AlgebraElement(left.degree, terms)
+
+
+def reference_isotypic_rank(lam: Partition, dim: int) -> int:
+    """Rank of the class-mass projector as one dense dim^p x dim^p matrix.
+
+    Row i of sigma's slot operator has a 1 at (i_sigma(1), ..., i_sigma(p)).
+    The whole matrix, at most 243 x 243, goes through Fraction elimination,
+    with no split into weight spaces (the library reduces one block per space).
+    """
+    p = lam.weight
+    indices = list(itertools.product(range(dim), repeat=p))
+    if len(indices) > 243:
+        raise ValueError("the dense reference rank stops at 243 x 243")
+    flat = {idx: f for f, idx in enumerate(indices)}
+    matrix = [[0] * len(indices) for _ in indices]
+    # the integer numerators: the common denominator does not change the rank
+    for images, coeff in reference_class_mass_projector(lam).nums.items():
+        for row, idx in zip(matrix, indices):
+            row[flat[tuple(idx[j - 1] for j in images)]] += coeff
+    return reference_rank(matrix)
 
 
 def _fraction_matrix(rows) -> list[list[Fraction]]:

@@ -111,6 +111,19 @@ class TestVerify:
     def test_trials_guard(self, capsys):
         assert run(capsys, "verify", "main", "--trials", "0")[0] == 2
 
+    @pytest.mark.parametrize("command", ["verify main", "report"])
+    def test_trials_upper_bound_fires_before_any_trial(self, capsys, monkeypatch, command):
+        # a sweep or a draw would call the None and fail with TypeError
+        monkeypatch.setattr(cli, "degeneracy_sweep", None)
+        monkeypatch.setattr(cli, "random_tensor", None)
+        huge = str(10**20)
+        code, out, err = run(capsys, *command.split(), "--trials", huge)
+        assert code == 2 and out == ""
+        assert err == f"error: --trials must be in 1..{cli.MAX_TRIALS}\n"
+        assert cli.SuiteConfig(5, 3, cli.MAX_TRIALS, 1, 1).trials == cli.MAX_TRIALS
+        with pytest.raises(cli.UsageError):
+            cli.SuiteConfig(5, 3, cli.MAX_TRIALS + 1, 1, 1)
+
     def test_max_mu_guard(self, capsys):
         assert run(capsys, "verify", "lemma1", "--max-mu", "17")[0] == 2
 

@@ -1,5 +1,5 @@
-"""The traced benchmark on its two short workloads: every layer it lists is
-still reached, and every answer matches the benchmark's independent oracle.
+"""The traced benchmark on every workload: every layer it lists is still
+reached, and every answer matches the benchmark's independent oracle.
 
 The benchmark writes its results next to its own sources, so it runs from a
 copy in a temporary directory and leaves the results of real runs alone."""
@@ -15,7 +15,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["sweep-p5n3", "crosscheck-222"])
+@pytest.mark.parametrize("workload", ["sweep-p5n3", "crosscheck-222", "algebra-p5"])
 def test_traced_run_is_correct(workload, tmp_path):
     (tmp_path / "perfbench").mkdir()
     for source in (REPO / "perfbench").glob("*.py"):

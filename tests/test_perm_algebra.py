@@ -209,6 +209,76 @@ class TestMultiplyKernel:
         assert multiply(plus, mixed) == AlgebraElement(3, {t: c, s * t: c})
 
 
+@st.composite
+def young_left_factors(draw, degree):
+    """Left factors whose numerator groups are whole Young subgroups, or not:
+    a scaled positive element, a sum of two with equal or different
+    coefficients, or a positive element plus stray terms."""
+    pis = st.sampled_from(all_set_partitions(degree))
+    c = draw(fractions.filter(bool))
+    left = positive_element(draw(pis)).scale(c)
+    kind = draw(st.sampled_from(["scaled", "two", "stray"]))
+    if kind == "two":
+        d = draw(st.sampled_from([c, draw(fractions.filter(bool))]))
+        left = left + positive_element(draw(pis)).scale(d)
+    elif kind == "stray":
+        left = left + draw(elements(degree, max_terms=3))
+    return left
+
+
+def right_factors(degree):
+    lams = st.sampled_from(all_partitions(degree))
+    return st.one_of(
+        elements(degree),
+        st.builds(lambda lam, c: young_symmetrizer(lam).scale(c), lams, fractions.filter(bool)),
+        lams.map(lambda lam: isotypic_projector(lam)[0]),
+    )
+
+
+class TestCosetProducts:
+    """Numerator groups of the left factor that are whole Young subgroups are
+    multiplied by coset sums; every product still equals the Fraction loop."""
+
+    check = TestMultiplyKernel.check
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference(self, data):
+        degree = data.draw(st.integers(1, 5), label="degree")
+        left = data.draw(young_left_factors(degree), label="left")
+        right = data.draw(right_factors(degree), label="right")
+        self.check(left, right)
+
+    def test_positive_elements_are_young(self):
+        for degree in range(1, 6):
+            for pi in all_set_partitions(degree):
+                group = frozenset(positive_element(pi).nums)
+                assert perm_algebra.young_blocks(group) == pi.blocks
+
+    def test_every_positive_element_times_every_projector(self):
+        for lam in all_partitions(4):
+            z = isotypic_projector(lam)[0]
+            for pi in all_set_partitions(4):
+                self.check(positive_element(pi), z)
+                self.check(positive_element(pi).scale(Fraction(-2, 3)), z)
+
+    def test_block_partition_short_of_the_whole_young_subgroup(self):
+        # {id, (12)(34)}: each point's images give the blocks {1,2} and {3,4},
+        # but S_{1,2} x S_{3,4} has four members, so the pair loop takes it
+        pair = [Permutation.identity(4), Permutation.from_cycles(4, (1, 2), (3, 4))]
+        assert perm_algebra.young_blocks(frozenset(g.images for g in pair)) is None
+        left = AlgebraElement(4, dict.fromkeys(pair, Fraction(3, 2)))
+        for right in (young_symmetrizer(P(2, 2)), isotypic_projector(P(3, 1))[0], left):
+            self.check(left, right)
+            self.check(right, left)
+
+    def test_identity_alone_and_the_degree_one_group(self):
+        assert perm_algebra.young_blocks(frozenset({(1,)})) == ((1,),)
+        assert perm_algebra.young_blocks(frozenset({(1, 2, 3)})) == ((1,), (2,), (3,))
+        assert perm_algebra.young_blocks(frozenset({(2, 1)})) is None
+        assert perm_algebra.young_blocks(frozenset()) is None
+
+
 def assert_canonical(x):
     assert x.den > 0
     assert all(x.nums.values())

@@ -38,6 +38,7 @@ from oracles import (
     reference_algebra_action,
     reference_contract_first,
     reference_evaluate,
+    reference_isotypic_rank,
     reference_slot_slice,
     ssyt_count,
 )
@@ -659,6 +660,12 @@ class TestIsotypicRank:
         for lam, rank in ranks.items():
             assert rank == hook_length_count(lam) * ssyt_count(lam, dim)
         assert sum(ranks.values()) == dim**order
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_weight_space_blocks_match_the_dense_matrix(self, order):
+        for dim in (1, 2, 3):
+            for lam in all_partitions(order):
+                assert isotypic_rank(lam, dim) == reference_isotypic_rank(lam, dim)
 
     def test_rank_zero_iff_too_many_rows(self):
         for order in (2, 3, 4):
