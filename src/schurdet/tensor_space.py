@@ -11,6 +11,8 @@ is (sigma . A)_{i_1 ... i_p} = A_{i_{sigma(1)} ... i_{sigma(p)}}, which makes
 A Tensor stores integer numerators over one positive denominator in lowest
 terms, and the kernels here work on those integers; scalars are Fractions at
 the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
+A group algebra element acts by Young-subgroup orbit sums or by its cached
+integer blocks, one per weight space, which `isotypic_rank` also reduces.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
@@ -228,35 +230,62 @@ def _orbit_table(group: frozenset, dim: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(rep), tuple(len(group) // orbit_size[r] for r in rep)
 
 
+def _young_orbits(element: AlgebraElement, dim: int) -> tuple | None:
+    """The `_orbit_table` of an element that is one coefficient over a whole
+    Young subgroup S_B (a positive element, or the (p) projector), else None."""
+    if len(set(element.nums.values())) != 1:
+        return None
+    return _orbit_table(frozenset(element.nums), dim)
+
+
+@lru_cache(maxsize=None)
+def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
+    """An element's integer matrix on each weight space, as (indices, rows) pairs.
+
+    A slot permutation keeps each flat index's digit multiset, so the matrix
+    splits into blocks, one per `_orbit_table` representative under S_p; row i
+    holds what entry indices[i] takes from each index of its space.  All-zero
+    blocks are kept; rows are tuples, shared by `algebra_action` and `isotypic_rank`.
+    """
+    rep, _ = _orbit_table(frozenset(itertools.permutations(range(1, degree + 1))), dim)
+    spaces: dict[int, list[int]] = {}
+    for flat, r in enumerate(rep):
+        spaces.setdefault(r, []).append(flat)
+    local = {flat: i for indices in spaces.values() for i, flat in enumerate(indices)}
+    blocks = {r: [[0] * len(indices) for _ in indices] for r, indices in spaces.items()}
+    rows = [blocks[r][local[flat]] for flat, r in enumerate(rep)]
+    for images, coeff in terms:
+        for row, j in zip(rows, map(local.__getitem__, _perm_table(images, dim))):
+            row[j] += coeff
+    return tuple((tuple(spaces[r]), tuple(map(tuple, block))) for r, block in blocks.items())
+
+
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     """Linear extension of the slot action to group algebra elements.
 
-    Image tuples are grouped by numerator.  A group that is exactly a Young
-    subgroup S_B takes one pass of orbit sums, (sum of h . A over S_B)_i =
-    |Stab(i)| * (sum of A over the orbit of i); any other group sums, column
-    by column, the entries its permutations gather with `itemgetter`.  Each
-    group then costs one multiply per entry.
+    One coefficient c over a whole Young subgroup S_B takes one pass of orbit
+    sums, (c * sum of h . A over S_B)_i = c * |Stab(i)| * (sum of A over the
+    orbit of i).  Any other element multiplies each weight space's entries by
+    its cached `_weight_blocks` matrix, one sum of products per entry.
     """
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for images, coeff in element.nums.items():
-        groups.setdefault(coeff, []).append(images)
     entries = tensor.nums
-    out = [0] * len(entries)
-    for coeff, group in groups.items():
-        orbits = _orbit_table(frozenset(group), tensor.dim)
-        if orbits is None:
-            gathered = [itemgetter(*_perm_table(im, tensor.dim))(entries) for im in group]
-            # a one-index itemgetter returns the entry itself, not a 1-tuple
-            summed = list(map(sum, zip(*gathered))) if len(entries) > 1 else [sum(gathered)]
-        else:
-            rep, stab = orbits
-            sums = [0] * len(entries)
-            for r, a in zip(rep, entries):
-                sums[r] += a
-            summed = [s * sums[r] for r, s in zip(rep, stab)]
-        out = [o + coeff * a for o, a in zip(out, summed)]
+    orbits = _young_orbits(element, tensor.dim)
+    if orbits is None:
+        out = [0] * len(entries)
+        key = frozenset(element.nums.items())
+        for indices, rows in _weight_blocks(key, element.degree, tensor.dim):
+            column = [entries[f] for f in indices]
+            for f, row in zip(indices, rows):
+                out[f] = sum(map(mul, row, column))
+    else:
+        rep, stab = orbits
+        coeff = next(iter(element.nums.values()))
+        sums = [0] * len(entries)
+        for r, a in zip(rep, entries):
+            sums[r] += a
+        out = [coeff * s * sums[r] for r, s in zip(rep, stab)]
     return Tensor._from_ints(tensor.order, tensor.dim, out, element.den * tensor.den)
 
 
@@ -266,8 +295,7 @@ def annihilates(element: AlgebraElement, tensor: Tensor) -> bool:
     orders are positive, so that is whether every S_B-orbit sum is zero."""
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
-    one_coefficient = len(set(element.nums.values())) == 1
-    orbits = _orbit_table(frozenset(element.nums), tensor.dim) if one_coefficient else None
+    orbits = _young_orbits(element, tensor.dim)
     if orbits is None:
         raise ValueError("annihilates takes one coefficient over a whole Young subgroup")
     sums = [0] * len(tensor.nums)
@@ -346,12 +374,11 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
 def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space.
 
-    The rank of the projector's matrix, filled with its integer numerators
-    (its denominator does not change the rank).  A slot permutation keeps each
-    index's multiset of digits, so the matrix splits into one block per weight
-    space (the indices of one `_orbit_table` representative under S_p), each
-    reduced by `rank_exact`.  The whole matrix is size x size, so size is capped
-    at MAX_RANK_SIZE (about a million cells) before the projector is built.
+    The rank of the projector's matrix of integer numerators (its denominator
+    does not change the rank): the sum of `rank_exact` over the cached
+    `_weight_blocks` that `algebra_action` also applies.  The whole matrix is
+    size x size, so size is capped at MAX_RANK_SIZE (about a million cells)
+    before the projector is built.
     """
     size = _dense_size(lam.weight, dim)
     if size > MAX_RANK_SIZE:
@@ -360,15 +387,8 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
             f"{MAX_RANK_SIZE} x {MAX_RANK_SIZE} is supported"
         )
     projector, _ = isotypic_projector(lam)
-    rep, _ = _orbit_table(frozenset(itertools.permutations(range(1, lam.weight + 1))), dim)
-    counters = {r: itertools.count() for r in rep}
-    local = [next(counters[r]) for r in rep]  # each index's position in its weight space
-    blocks = {r: [[0] * k for _ in range(k)] for r, k in Counter(rep).items()}
-    rows = [blocks[r][i] for r, i in zip(rep, local)]
-    for images, coeff in projector.nums.items():
-        for row, j in zip(rows, map(local.__getitem__, _perm_table(images, dim))):
-            row[j] += coeff
-    return sum(rank_exact(block) for block in blocks.values())
+    blocks = _weight_blocks(frozenset(projector.nums.items()), lam.weight, dim)
+    return sum(rank_exact(rows) for _, rows in blocks)
 
 
 def random_tensor(order: int, dim: int, seed: int) -> Tensor:

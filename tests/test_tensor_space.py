@@ -339,8 +339,9 @@ def is_young(terms, dim):
 
 
 class TestYoungSubgroupSums:
-    """A coefficient group that is exactly a Young subgroup S_B is applied by
-    orbit sums; every other group gathers.  Both against the Fraction loop."""
+    """An element that is one coefficient over exactly a Young subgroup S_B is
+    applied by orbit sums; every other element by its weight-space blocks.
+    Both against the Fraction loop."""
 
     @staticmethod
     def draw_case(data):
@@ -398,6 +399,13 @@ class TestYoungSubgroupSums:
         t = Tensor(4, 2, [F(k - 7) / (k % 3 + 1) for k in range(16)])
         element = AlgebraElement(4, terms)
         assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    def test_zero_element(self):
+        for order, dim in [(1, 3), (3, 2), (5, 3)]:
+            t = random_tensor(order, dim, order + dim).scale(F(1) / 3)
+            zero = AlgebraElement(order, {})
+            assert algebra_action(zero, t) == Tensor.zero(order, dim)
+            assert algebra_action(zero, t) == reference_algebra_action(zero, t)
 
     def test_identity_and_the_whole_group_are_young(self):
         t = Tensor(3, 3, [F(k - 13) / (k % 4 + 1) for k in range(27)])
@@ -547,8 +555,8 @@ class TestDimensionOne:
     """Size-1 tensors: every slot permutation fixes the single entry."""
 
     def test_algebra_action_scales_by_the_coefficient_sum(self):
-        # from order 2 on, the odd permutations are no Young subgroup and gather
-        # from a one-entry tuple
+        # two coefficients, so no orbit sums: every weight space has one member,
+        # and its 1 x 1 block holds the coefficient sum
         for order in (1, 2, 3, 4, 5):
             t = Tensor(order, 1, [F(5) / 3])
             element = AlgebraElement(
@@ -575,7 +583,8 @@ class TestDimensionOne:
 
 class TestProjection:
     def test_resolution_of_identity(self):
-        for order, dim, seed in [(2, 3, 1), (3, 3, 2), (4, 2, 3), (4, 3, 4)]:
+        # up to the sweep size (5, 3) and the projector-degree bound (6, 2)
+        for order, dim, seed in [(2, 3, 1), (3, 3, 2), (4, 2, 3), (4, 3, 4), (5, 3, 5), (6, 2, 6)]:
             t = random_tensor(order, dim, seed)
             total = Tensor.zero(order, dim)
             for lam in all_partitions(order):
@@ -583,20 +592,20 @@ class TestProjection:
             assert total == t
 
     def test_idempotent_on_tensors(self):
-        t = random_tensor(3, 3, 29)
-        for lam in all_partitions(3):
-            once = project_isotypic(lam, t)
-            assert project_isotypic(lam, once) == once
+        for order, dim, seed in [(3, 3, 29), (5, 3, 31), (6, 2, 33)]:
+            t = random_tensor(order, dim, seed)
+            for lam in all_partitions(order):
+                once = project_isotypic(lam, t)
+                assert project_isotypic(lam, once) == once
 
     def test_cross_projections_vanish(self):
-        t = random_tensor(3, 2, 37)
-        parts = all_partitions(3)
-        for lam in parts:
-            for mu in parts:
-                if lam != mu:
-                    assert project_isotypic(
-                        mu, project_isotypic(lam, t)
-                    ).is_zero
+        for order, dim, seed in [(3, 2, 37), (5, 3, 39), (6, 2, 41)]:
+            t = random_tensor(order, dim, seed)
+            parts = all_partitions(order)
+            for lam in parts:
+                for mu in parts:
+                    if lam != mu:
+                        assert project_isotypic(mu, project_isotypic(lam, t)).is_zero
 
     def test_projection_commutes_with_the_slot_action(self):
         # the projector is central, so it cannot see a slot relabeling
@@ -666,6 +675,24 @@ class TestIsotypicRank:
         for dim in (1, 2, 3):
             for lam in all_partitions(order):
                 assert isotypic_rank(lam, dim) == reference_isotypic_rank(lam, dim)
+
+    def test_shared_blocks_stay_intact(self):
+        # isotypic_rank and project_isotypic read one cached table of blocks;
+        # neither rank_exact nor the projection may write into its rows
+        t = random_tensor(5, 3, 53).scale(F(1) / 7)
+        cases = [
+            (lam, hook_length_count(lam) * ssyt_count(lam, 3), isotypic_projector(lam)[0])
+            for lam in all_partitions(5)
+        ]
+        expected = {lam: reference_algebra_action(z, t) for lam, _, z in cases}
+        for rank_first in (True, False):
+            tensor_space._weight_blocks.cache_clear()
+            for lam, rank, _ in cases:
+                for step in range(3):
+                    if (step % 2 == 0) == rank_first:
+                        assert isotypic_rank(lam, 3) == rank
+                    else:
+                        assert project_isotypic(lam, t) == expected[lam]
 
     def test_rank_zero_iff_too_many_rows(self):
         for order in (2, 3, 4):
