@@ -41,7 +41,7 @@ from .hyperdet import (
     pfaffian,
     random_skew_matrix,
 )
-from .linalg import det_exact
+from .linalg import MAX_DET_SIZE, det_exact
 from .partitions import Partition, all_partitions, critical_set, is_exceptional
 from .perm_algebra import all_permutations
 from .rng import SplitMix64
@@ -57,6 +57,9 @@ from .tensor_space import (
 DEFAULT_TRIALS = {"t2": 5, "main": 20, "pfaffian": 20, "hyperdet222": 50}
 MAX_TRIALS = 1000  # twenty times the largest default
 PFAFFIAN_SIZES = (2, 4, 6)
+# the largest accepted document: 65 x 65 entries, each at most a sign, 4,300
+# digits (the JSON integer limit), a comma and a two-space-indented line
+MAX_INPUT_BYTES = MAX_DET_SIZE**2 * 4_310
 
 
 class UsageError(Exception):
@@ -284,11 +287,16 @@ def cmd_verify(args) -> int:
 
 
 def _load_json(path: str):
+    """The document at path, read to one byte past MAX_INPUT_BYTES at most."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise UsageError(f"{path} is longer than {MAX_INPUT_BYTES} bytes")
+    try:
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, bad UTF-8, integers past the digit limit, deep nesting
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc

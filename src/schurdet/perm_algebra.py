@@ -210,9 +210,8 @@ def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     exactly a Young subgroup H = S_B goes by coset sums: the coefficient of g in
     (sum of H) * right is right's sum over the coset Hg, keyed by the block of
     each image, and each nonzero coset sum goes to the |H| members h * tau.  Any
-    other group composes every pair sigma * tau, one integer multiply per sigma
-    and numerator group of right.  Numerators accumulate by image tuple over the
-    product of the two denominators.
+    other group composes every pair sigma * tau.  Numerators accumulate by image
+    tuple over the product of the two denominators.
     """
     if left.degree != right.degree:
         raise ValueError("degree mismatch")
@@ -220,7 +219,6 @@ def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     for sigma, a in left.nums.items():
         groups.setdefault(a, []).append(sigma)
     acc: dict[tuple[int, ...], int] = {}
-    right_groups: dict[int, list[tuple[int, ...]]] = {}
     for a, group in groups.items():
         # two or more members means degree >= 2: each itemgetter below returns a tuple
         blocks = young_blocks(frozenset(group)) if len(group) > 1 else None
@@ -235,16 +233,11 @@ def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
                     for g in map(itemgetter(*tau), padded):
                         acc[g] = acc.get(g, 0) + a * total
             continue
-        if not right_groups:
-            for tau, b in right.nums.items():
-                right_groups.setdefault(b, []).append(tau)
         for sigma in group:
             look = ((0,) + sigma).__getitem__  # look(j) = sigma(j)
-            for b, taus in right_groups.items():
-                c = a * b
-                for images in taus:
-                    key = tuple(map(look, images))
-                    acc[key] = acc.get(key, 0) + c
+            for tau, b in right.nums.items():
+                key = tuple(map(look, tau))
+                acc[key] = acc.get(key, 0) + a * b
     return AlgebraElement._from_ints(left.degree, acc, left.den * right.den)
 
 

@@ -11,8 +11,10 @@ is (sigma . A)_{i_1 ... i_p} = A_{i_{sigma(1)} ... i_{sigma(p)}}, which makes
 A Tensor stores integer numerators over one positive denominator in lowest
 terms, and the kernels here work on those integers; scalars are Fractions at
 the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
-A group algebra element acts by Young-subgroup orbit sums or by its cached
-integer blocks, one per weight space, which `isotypic_rank` also reduces.
+One coefficient over a whole Young subgroup acts by orbit sums, from an orbit
+table cached by the subgroup's blocks; any other element by its cached integer
+matrix on each weight space, which `isotypic_rank` also reduces.  One integer
+loop contracts a slot, slot 1 or the last.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -34,7 +36,6 @@ from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
-MAX_RANK_SIZE = 1024
 MAX_TENSOR_BITS = 1 << 22  # bound on size * bit length of the common denominator
 
 Vector = tuple[Fraction, ...]
@@ -208,16 +209,13 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(group: frozenset, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Orbit sums for a group of image tuples that is exactly a Young subgroup S_B.
+def _orbit_table(blocks: tuple, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbits of the Young subgroup S_B of the sorted blocks B on flat indices.
 
-    `young_blocks` decides S_B; any other group gives None.  For S_B: each flat
-    index's orbit representative, the flat index of its digits sorted within
-    every block, and its stabiliser order |S_B| / |orbit|.
+    Each flat index's representative is the flat index of its digits sorted
+    within every block; its stabiliser order is |S_B| / |orbit|, with
+    |S_B| = prod |B_k|! taken from the block sizes.
     """
-    blocks = young_blocks(group)
-    if blocks is None:
-        return None
     order = sum(map(len, blocks))
     # the sorted digits of every block, placed in block order, with their slots' weights
     slots = [[k - 1 for k in b] for b in blocks]
@@ -226,16 +224,27 @@ def _orbit_table(group: frozenset, dim: int) -> tuple[tuple[int, ...], tuple[int
         sum(map(mul, [d for block in slots for d in sorted(digits[k] for k in block)], weights))
         for digits in itertools.product(range(dim), repeat=order)
     ]
+    group_order = prod(factorial(len(b)) for b in blocks)
     orbit_size = Counter(rep)
-    return tuple(rep), tuple(len(group) // orbit_size[r] for r in rep)
+    return tuple(rep), tuple(group_order // orbit_size[r] for r in rep)
 
 
-def _young_orbits(element: AlgebraElement, dim: int) -> tuple | None:
-    """The `_orbit_table` of an element that is one coefficient over a whole
-    Young subgroup S_B (a positive element, or the (p) projector), else None."""
+def _orbit_sums(element: AlgebraElement, tensor: Tensor) -> tuple | None:
+    """(coefficient, orbit table, orbit sums by representative) for one coefficient
+    over a whole Young subgroup S_B (a positive element, or the (p) projector);
+    None for any other element."""
+    if element.degree != tensor.order:
+        raise ValueError("element degree must equal the tensor order")
     if len(set(element.nums.values())) != 1:
         return None
-    return _orbit_table(frozenset(element.nums), dim)
+    blocks = young_blocks(frozenset(element.nums))
+    if blocks is None:
+        return None
+    table = _orbit_table(blocks, tensor.dim)
+    sums = [0] * len(tensor.nums)
+    for r, a in zip(table[0], tensor.nums):
+        sums[r] += a
+    return next(iter(element.nums.values())), table, sums
 
 
 @lru_cache(maxsize=None)
@@ -243,11 +252,12 @@ def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
     """An element's integer matrix on each weight space, as (indices, rows) pairs.
 
     A slot permutation keeps each flat index's digit multiset, so the matrix
-    splits into blocks, one per `_orbit_table` representative under S_p; row i
-    holds what entry indices[i] takes from each index of its space.  All-zero
-    blocks are kept; rows are tuples, shared by `algebra_action` and `isotypic_rank`.
+    splits into blocks, one per representative of the one-block `_orbit_table`
+    (S_p); row i holds what entry indices[i] takes from each index of its space.
+    All-zero blocks are kept; rows are tuples, shared by `algebra_action` and
+    `isotypic_rank`.
     """
-    rep, _ = _orbit_table(frozenset(itertools.permutations(range(1, degree + 1))), dim)
+    rep, _ = _orbit_table((tuple(range(1, degree + 1)),), dim)
     spaces: dict[int, list[int]] = {}
     for flat, r in enumerate(rep):
         spaces.setdefault(r, []).append(flat)
@@ -268,11 +278,9 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     orbit of i).  Any other element multiplies each weight space's entries by
     its cached `_weight_blocks` matrix, one sum of products per entry.
     """
-    if element.degree != tensor.order:
-        raise ValueError("element degree must equal the tensor order")
+    young = _orbit_sums(element, tensor)
     entries = tensor.nums
-    orbits = _young_orbits(element, tensor.dim)
-    if orbits is None:
+    if young is None:
         out = [0] * len(entries)
         key = frozenset(element.nums.items())
         for indices, rows in _weight_blocks(key, element.degree, tensor.dim):
@@ -280,11 +288,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
             for f, row in zip(indices, rows):
                 out[f] = sum(map(mul, row, column))
     else:
-        rep, stab = orbits
-        coeff = next(iter(element.nums.values()))
-        sums = [0] * len(entries)
-        for r, a in zip(rep, entries):
-            sums[r] += a
+        coeff, (rep, stab), sums = young
         out = [coeff * s * sums[r] for r, s in zip(rep, stab)]
     return Tensor._from_ints(tensor.order, tensor.dim, out, element.den * tensor.den)
 
@@ -293,31 +297,30 @@ def annihilates(element: AlgebraElement, tensor: Tensor) -> bool:
     """Whether algebra_action(element, tensor) is zero, for one coefficient over a
     whole Young subgroup S_B (a positive element), else ValueError.  Stabiliser
     orders are positive, so that is whether every S_B-orbit sum is zero."""
-    if element.degree != tensor.order:
-        raise ValueError("element degree must equal the tensor order")
-    orbits = _young_orbits(element, tensor.dim)
-    if orbits is None:
+    young = _orbit_sums(element, tensor)
+    if young is None:
         raise ValueError("annihilates takes one coefficient over a whole Young subgroup")
-    sums = [0] * len(tensor.nums)
-    for r, a in zip(orbits[0], tensor.nums):
-        sums[r] += a
-    return not any(sums)
+    return not any(young[2])
+
+
+def _contract(nums: Sequence[int], den: int, dim: int, vector: Sequence, last: bool) -> tuple:
+    """Pair one slot of the entries nums / den with the vector, as (nums, den):
+    slot 1 sums runs of len(nums) / dim entries, the last slot strides of dim."""
+    if len(vector) != dim:
+        raise ValueError("vector length must equal the tensor dimension")
+    weights, weight_den = common_denominator(make_vector(vector))
+    block = len(nums) // dim
+    out = [0] * block
+    for d, weight in enumerate(weights):
+        if weight:
+            part = nums[d::dim] if last else nums[d * block : (d + 1) * block]
+            out = [o + weight * e for o, e in zip(out, part)]
+    return out, den * weight_den
 
 
 def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
     """Pair slot 1 with the vector; scalar result once the last slot is used."""
-    vec = make_vector(vector)
-    if len(vec) != tensor.dim:
-        raise ValueError("vector length must equal the tensor dimension")
-    weights, weight_den = common_denominator(vec)
-    entries = tensor.nums
-    block = tensor.dim ** (tensor.order - 1)
-    out = [0] * block
-    for d, weight in enumerate(weights):
-        if weight:
-            row = entries[d * block : (d + 1) * block]
-            out = [o + weight * e for o, e in zip(out, row)]
-    den = weight_den * tensor.den
+    out, den = _contract(tensor.nums, tensor.den, tensor.dim, vector, last=False)
     if tensor.order == 1:
         return Fraction(out[0], den)
     return Tensor._from_ints(tensor.order - 1, tensor.dim, out, den)
@@ -338,7 +341,7 @@ def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> Vector:
 
     vectors[slot - 1] is ignored and may be None.  Slots before the free one go
     through contract_first; slots after it are contracted where they lie, last
-    first, each pass turning every run of dim adjacent entries into one.
+    first.
     """
     if not 1 <= slot <= tensor.order:
         raise ValueError(f"slot must be in 1..{tensor.order}")
@@ -347,17 +350,9 @@ def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> Vector:
     current = tensor
     for vec in vectors[: slot - 1]:
         current = contract_first(current, vec)
-    dim = tensor.dim
     entries, den = current.nums, current.den
     for vec in reversed(vectors[slot:]):
-        weights, weight_den = common_denominator(make_vector(vec))
-        if len(weights) != dim:
-            raise ValueError("vector length must equal the tensor dimension")
-        out = [0] * (len(entries) // dim)
-        for d, weight in enumerate(weights):
-            if weight:
-                out = [o + weight * e for o, e in zip(out, entries[d::dim])]
-        entries, den = out, den * weight_den
+        entries, den = _contract(entries, den, tensor.dim, vec, last=True)
     return tuple(Fraction(v, den) for v in entries)
 
 
@@ -374,18 +369,11 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
 def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space.
 
-    The rank of the projector's matrix of integer numerators (its denominator
-    does not change the rank): the sum of `rank_exact` over the cached
-    `_weight_blocks` that `algebra_action` also applies.  The whole matrix is
-    size x size, so size is capped at MAX_RANK_SIZE (about a million cells)
-    before the projector is built.
+    The sum of `rank_exact` over the projector's cached `_weight_blocks`, the
+    blocks `project_isotypic` applies, so it is bounded as a projection is:
+    dim**p checked first, then the projector's degree.
     """
-    size = _dense_size(lam.weight, dim)
-    if size > MAX_RANK_SIZE:
-        raise SizeGuardError(
-            f"isotypic_rank builds a {size} x {size} matrix; at most "
-            f"{MAX_RANK_SIZE} x {MAX_RANK_SIZE} is supported"
-        )
+    _dense_size(lam.weight, dim)
     projector, _ = isotypic_projector(lam)
     blocks = _weight_blocks(frozenset(projector.nums.items()), lam.weight, dim)
     return sum(rank_exact(rows) for _, rows in blocks)

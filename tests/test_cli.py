@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -239,6 +240,19 @@ class TestHyperdetCommand:
         path = tmp_path / "bad.json"
         path.write_bytes(data)
         assert "not valid JSON" in self.input_error(capsys, "--input", str(path))
+
+    def test_input_byte_bound(self, capsys, tmp_path, monkeypatch):
+        path = self.write(tmp_path, "m.json", [[0, "3"], ["-3", 0]])
+        size = os.path.getsize(path)
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+        assert run(capsys, "hyperdet", "--input", path, "--pfaffian")[:2] == (0, "3\n")
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+        assert f"longer than {size - 1} bytes" in self.input_error(
+            capsys, "--input", path, "--pfaffian"
+        )
+
+    def test_endless_input(self, capsys):
+        assert "longer than" in self.input_error(capsys, "--input", "/dev/zero")
 
     def test_oversized_det(self, capsys, tmp_path):
         path = self.write(tmp_path, "m.json", [[0] * 66] * 66)

@@ -29,7 +29,7 @@ from schurdet import (
     slot_slice,
     young_symmetrizer,
 )
-from schurdet.perm_algebra import AlgebraElement
+from schurdet.perm_algebra import AlgebraElement, young_blocks
 from schurdet import tensor_space
 from schurdet.tensor_space import contract_first
 
@@ -308,10 +308,13 @@ class TestDenominatorClearing:
             free = list(vecs)
             free[slot - 1] = None
             assert slot_slice(t, free, slot) == reference_slot_slice(t, vecs, slot)
-            if slot < t.order:
-                free[-1] = list(free[-1]) + [F(1)]
-                with pytest.raises(ValueError):
-                    slot_slice(t, free, slot)
+            # a leading slot (through contract_first) and a trailing slot share one length check
+            for other in (0, t.order - 1):
+                if other != slot - 1:
+                    long = list(free)
+                    long[other] = list(long[other]) + [F(1)]
+                    with pytest.raises(ValueError, match="vector length"):
+                        slot_slice(t, long, slot)
 
     def test_projection_of_a_fraction_tensor(self):
         t = Tensor(3, 2, [F(k - 4) / (k + 1) for k in range(8)])
@@ -334,8 +337,14 @@ def young_terms(pi, coeff):
     return {perm: coeff for perm, _ in positive_element(pi).terms}
 
 
+def orbit_table(terms, dim):
+    """The orbit table of the terms' support when it is a whole Young subgroup, else None."""
+    blocks = young_blocks(frozenset(perm.images for perm in terms))
+    return None if blocks is None else tensor_space._orbit_table(blocks, dim)
+
+
 def is_young(terms, dim):
-    return tensor_space._orbit_table(frozenset(perm.images for perm in terms), dim) is not None
+    return orbit_table(terms, dim) is not None
 
 
 class TestYoungSubgroupSums:
@@ -356,7 +365,7 @@ class TestYoungSubgroupSums:
     def test_scaled_young_subgroup_with_other_groups(self, data):
         t, pi, c = self.draw_case(data)
         terms = young_terms(pi, c)
-        rep, stab = tensor_space._orbit_table(frozenset(perm.images for perm in terms), t.dim)
+        rep, stab = orbit_table(terms, t.dim)
         for flat, digits in enumerate(itertools.product(range(t.dim), repeat=t.order)):
             orbit = {
                 Tensor._flat(t.dim, t.order, tuple(digits[k - 1] for k in perm.images))
@@ -704,13 +713,15 @@ class TestIsotypicRank:
         with pytest.raises(SizeGuardError):
             isotypic_rank(P(7), 2)
 
-    def test_matrix_size_guard_fires_before_anything_is_built(self, monkeypatch):
-        # sizes 1600 and 4096 pass the dense-size guard but not the size^2 one;
-        # a projector build would call the None and fail with TypeError
+    def test_dense_size_guard_fires_before_the_projector_is_built(self, monkeypatch):
+        # 5**6 = 15,625 entries; a projector build would call the None and fail with TypeError
         monkeypatch.setattr(tensor_space, "isotypic_projector", None)
-        for lam, dim in [(P(1, 1), 40), (P(3, 3), 4)]:
-            with pytest.raises(SizeGuardError, match="1024"):
-                isotypic_rank(lam, dim)
+        with pytest.raises(SizeGuardError, match=str(tensor_space.MAX_DENSE_SIZE)):
+            isotypic_rank(P(3, 3), 5)
+
+    def test_large_dim_with_small_blocks(self):
+        # 1600 entries, but every weight space has at most 2 members
+        assert isotypic_rank(P(1, 1), 40) == 780
 
 
 class TestRandomSources:
