@@ -318,12 +318,13 @@ def cmd_hyperdet(args) -> int:
             name, value = "det", det_exact(_parse_matrix(obj))
         else:
             name, value = "hyperdet222", hyperdet_222(Tensor.from_json_obj(obj))
+        text = str(value)  # a ValueError past the interpreter's integer digit limit
     except (TypeError, ValueError, SizeGuardError) as exc:
         raise UsageError(str(exc)) from exc
     if args.output == "json":
-        print(json.dumps({"invariant": name, "value": str(value)}, indent=2, sort_keys=True))
+        print(json.dumps({"invariant": name, "value": text}, indent=2, sort_keys=True))
     else:
-        print(value)
+        print(text)
     return 0
 
 

@@ -1,17 +1,15 @@
-"""Exact rank/determinant by fraction-free integer elimination.
+"""Exact rank/determinant by Bareiss's fraction-free integer elimination.
 
 Matrices are plain lists of row lists; entries anything ``as_fraction`` takes.
-Each row is cleared of denominators once; below a pivot p, a row with lead l
-becomes (a*row - b*pivot_row) / content, where g = gcd(p, l), a = p/g, b = l/g.
-"""
+Each row is cleared of denominators once; elimination then builds only minors."""
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import SizeGuardError
 from .rational import as_fraction, common_denominator
 
 MAX_DET_SIZE = 65
+MAX_DET_BITS = 1024  # bound on the sum over the rows of the largest entry's bit length
 MAX_MATRIX_BITS = 1 << 22  # bound on the sum of row length * bit length of the row denominator
 
 Matrix = list[list[Fraction]]
@@ -35,37 +33,33 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return m, scale
 
 
-def _eliminate(m: list[list[int]]) -> tuple[int, int, int]:
-    """Reduce m to row echelon form; return (rank, num, den), det(m) = num / den if square."""
+def _eliminate(m: list[list[int]]) -> tuple[int, int]:
+    """Reduce m to row echelon form in place; return (rank, det(m) if square, else 0).
+
+    Below a pivot p, with q the previous pivot (1 at first), a row with lead l
+    becomes (p*row - l*pivot_row) // q, and with lead 0 p*row // q. By Sylvester's
+    identity p*x - l*y is q times a minor of m, so every division is exact.
+    """
     n_rows, n_cols = len(m), len(m[0]) if m else 0
-    rank, num, den = 0, 1, 1
+    rank, q, sign = 0, 1, 1
     for col in range(n_cols):
         pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            num = -num
-        pivot = m[rank][col]
-        num *= pivot
-        support = [(c, y) for c, y in enumerate(m[rank]) if y]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
         for r in range(rank + 1, n_rows):
-            lead = m[r][col]
-            if not lead:
-                continue
-            g = gcd(pivot, lead)
-            a, b = pivot // g, lead // g
-            row = m[r] if a == 1 else [a * x for x in m[r]]
-            for c, y in support:  # pivot rows are sparse: touch only their nonzeros
-                row[c] -= b * y
-            content = gcd(*row)
-            if content > 1:
-                row = [x // content for x in row]
-                num *= content
-            m[r] = row
-            den *= a
+            row, lead = m[r], m[r][col]
+            if lead:
+                m[r] = [(p * x - lead * y) // q for x, y in zip(row, top)]
+            elif p != q:
+                m[r] = [p * x // q for x in row]
+        q = p
         rank += 1
-    return rank, num, den
+    return rank, sign * q if rank == n_rows == n_cols else 0
 
 
 def rank_exact(rows) -> int:
@@ -77,14 +71,15 @@ def det_exact(rows) -> Fraction:
     """Determinant of a square matrix, by fraction-free integer elimination.
 
     More than MAX_DET_SIZE rows (the largest slot system has 65), or a matrix
-    that is not square, is refused before any entry is read.
+    that is not square, is refused before any entry is read; integer rows past
+    MAX_DET_BITS, before elimination, so no minor passes Hadamard's bound.
     """
     if len(rows) > MAX_DET_SIZE:
-        raise SizeGuardError(
-            f"determinant supports at most {MAX_DET_SIZE} rows, got {len(rows)}"
-        )
+        raise SizeGuardError(f"determinant supports at most {MAX_DET_SIZE} rows, got {len(rows)}")
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
     m, scale = _integer_rows(rows)
-    rank, num, den = _eliminate(m)
-    return Fraction(num, den * scale) if rank == len(m) else Fraction(0)
+    bits = sum(max(map(int.bit_length, row)) for row in m)
+    if bits > MAX_DET_BITS:
+        raise SizeGuardError(f"determinant rows' largest entries sum to {bits} bits > {MAX_DET_BITS}")
+    return Fraction(_eliminate(m)[1], scale)

@@ -101,6 +101,40 @@ class TestVerify:
             "homogeneity",
         }
 
+    @pytest.mark.parametrize(
+        "argv, name, wrong, failing",
+        [
+            (  # a failed positive equation reported for the two-row shape
+                ["t2", "--p", "3", "--n", "2", "--trials", "1"],
+                "critical_equation_failures",
+                lambda real: lambda lam, tensor: real(lam, tensor) + [None] * (lam.rows == 2),
+                ["t2 (2,1)"],
+            ),
+            (  # Pf + 1 at size 4, whose square is never det
+                ["pfaffian", "--trials", "2"],
+                "pfaffian",
+                lambda real: lambda matrix: real(matrix) + (len(matrix) == 4),
+                ["pfaffian size=4"],
+            ),
+            (  # plus the (0,1,1) entry: zero on the fixed tensors, not a slot invariant
+                ["hyperdet222", "--trials", "3"],
+                "hyperdet_222",
+                lambda real: lambda tensor: real(tensor) + tensor.entry((0, 1, 1)),
+                ["hyperdet222 rank-one", "hyperdet222 slot-invariance",
+                 "hyperdet222 homogeneity"],
+            ),
+        ],
+        ids=["t2", "pfaffian", "hyperdet222"],
+    )
+    def test_a_wrong_computation_fails_its_checks(
+        self, capsys, monkeypatch, argv, name, wrong, failing
+    ):
+        monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 1
+        assert [line[7:] for line in out.splitlines() if line.startswith("[FAIL] ")] == failing
+        assert out.endswith("verdict: fail\n")
+
     def test_order_guard(self, capsys):
         code, _, err = run(capsys, "verify", "t2", "--p", "6", "--n", "3")
         assert code == 2
@@ -284,6 +318,32 @@ class TestHyperdetCommand:
         start = time.perf_counter()
         assert message in self.input_error(capsys, "--input", path, "--det")
         assert time.perf_counter() - start < 10
+
+    def test_det_entry_bits_past_the_bound(self, capsys, tmp_path):
+        """20 x 20 entries of 4,300 digits: 1.7 MB, refused before elimination."""
+        big = 10**4300 - 1
+        rows = [[big - i - j for j in range(20)] for i in range(20)]
+        path = self.write(tmp_path, "m.json", rows)
+        start = time.perf_counter()
+        assert "bits > 1024" in self.input_error(capsys, "--input", path, "--det")
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("mode", ["tensor", "--pfaffian", "--det"])
+    def test_value_past_the_digit_limit(self, capsys, tmp_path, mode, output):
+        """Values whose integers pass the interpreter's digit limit exit 2."""
+        big = 10**4300 - 1
+        if mode == "tensor":  # big**4, about 17,200 digits
+            obj, flags = {"order": 3, "dim": 2, "entries": [big] + [0] * 6 + [big]}, []
+        elif mode == "--pfaffian":  # big**2
+            obj = [[0, big, 0, 0], [-big, 0, 0, 0], [0, 0, 0, big], [0, 0, -big, 0]]
+            flags = [mode]
+        else:  # a denominator of about 4,980 digits
+            obj = [[f"1/{10**995 + k}" if j == k else 0 for j in range(5)] for k in range(5)]
+            flags = [mode]
+        path = self.write(tmp_path, "doc.json", obj)
+        err = self.input_error(capsys, "--input", path, *flags, "--output", output)
+        assert "digits" in err
 
     def test_oversized_order(self, capsys, tmp_path):
         tensor = {"order": 2_000_000, "dim": 2, "entries": ["0"]}

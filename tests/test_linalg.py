@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_det, reference_rank
-from schurdet import SizeGuardError, det_exact, rank_exact, slot_system_matrix
+from schurdet import SizeGuardError, det_exact, linalg, rank_exact, slot_system_matrix
 
-entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+# wide integers make elimination's intermediates pass 64 bits, so every exact
+# division is checked on multi-word integers as well as on small fractions
+entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)) | st.integers(
+    -(2**64) + 1, 2**64 - 1
+)
 
 
 @st.composite
@@ -103,6 +107,18 @@ class TestInputContract:
         det_exact(m)
         rank_exact(m)
         assert m == self.INTS
+
+    def test_entry_bits_at_and_past_the_bound(self, monkeypatch):
+        """The bound sums each row's largest bit length once denominators are cleared."""
+        assert linalg.MAX_DET_BITS == 1024
+        assert det_exact([[1 << 1022, 0], [0, 1]]) == 1 << 1022  # 1023 + 1 bits
+        assert det_exact([["1/3", 0], [0, 1 << 1022]]) == Fraction(1 << 1022, 3)
+        monkeypatch.setattr(linalg, "_eliminate", None)  # the guard fires before elimination
+        one_bit_over = [[1 << 1022, 0], [0, 2]]
+        cleared_past = [[Fraction(1 << 1022, 3), "1/2"], [0, 1]]  # row 1 becomes [2**1023, 3]
+        for m in (one_bit_over, cleared_past):
+            with pytest.raises(SizeGuardError, match="sum to 1025 bits > 1024"):
+                det_exact(m)
 
     def test_denominators_past_the_bound(self):
         coprime = [f"1/{10**997 + 2 * k + 1}" for k in range(65)]
