@@ -297,9 +297,15 @@ def _load_json(path: str):
         raise UsageError(f"{path} is longer than {MAX_INPUT_BYTES} bytes")
     try:
         return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, bad UTF-8, integers past the digit limit, deep nesting
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # json's only plain ValueError: an integer past the limit
+        raise _digit_limit(f"{path} holds") from exc
+
+
+def _digit_limit(subject: str) -> UsageError:
+    limit = sys.get_int_max_str_digits()
+    return UsageError(f"{subject} an integer of more than {limit} digits; use smaller entries")
 
 
 def _parse_matrix(obj) -> list[list]:
@@ -318,9 +324,12 @@ def cmd_hyperdet(args) -> int:
             name, value = "det", det_exact(_parse_matrix(obj))
         else:
             name, value = "hyperdet222", hyperdet_222(Tensor.from_json_obj(obj))
-        text = str(value)  # a ValueError past the interpreter's integer digit limit
     except (TypeError, ValueError, SizeGuardError) as exc:
         raise UsageError(str(exc)) from exc
+    try:
+        text = str(value)
+    except ValueError as exc:  # str's only ValueError: an integer past the digit limit
+        raise _digit_limit(f"the {name} value has") from exc
     if args.output == "json":
         print(json.dumps({"invariant": name, "value": text}, indent=2, sort_keys=True))
     else:

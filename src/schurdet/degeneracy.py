@@ -24,6 +24,7 @@ from .tensor_space import (
     Tensor,
     Vector,
     annihilates,
+    contract_first,
     evaluate,
     make_vector,
     project_isotypic,
@@ -70,15 +71,19 @@ def kernel_failure(
 ) -> Optional[tuple[int, int]]:
     """First (slot, component) where a slice is nonzero; None if in the kernel.
 
-    Slots are 1-based, components 0-based coordinates of the free slot.
+    Slots are 1-based, components 0-based coordinates of the free slot.  Slice k
+    is L_k(., x^(k+1), ..., x^p), L_1 = A and L_(k+1) = L_k paired with x^k in slot 1.
     """
     if witness.order != tensor.order or witness.dim != tensor.dim:
         raise InvalidWitnessError("witness does not match the tensor space")
+    chain, vectors = tensor, witness.vectors
     for slot in range(1, tensor.order + 1):
-        covector = slot_slice(tensor, witness.vectors, slot)
+        covector = slot_slice(chain, (None,) + vectors[slot:], 1)
         for component, value in enumerate(covector):
             if value != 0:
                 return slot, component
+        if slot < tensor.order:
+            chain = contract_first(chain, vectors[slot - 1])
     return None
 
 
@@ -133,14 +138,14 @@ def slot_system_eigencheck(mu1: int) -> bool:
 
 
 def substitution_values(tensor: Tensor, x: Sequence, y: Sequence) -> list[Fraction]:
-    """The p evaluations with y in one slot and x in all others, slot 1 first."""
-    xs = make_vector(x)
-    ys = make_vector(y)
-    out = []
-    for slot in range(1, tensor.order + 1):
-        vectors: list = [xs] * tensor.order
-        vectors[slot - 1] = ys
-        out.append(evaluate(tensor, vectors))
+    """The p evaluations with y in one slot and x in all others, slot 1 first:
+    value k is L_k(y, x, ..., x), L_1 = A and L_(k+1) = L_k paired with x in slot 1."""
+    xs, ys = make_vector(x), make_vector(y)
+    out, chain = [], tensor
+    for rest in reversed(range(tensor.order)):
+        out.append(evaluate(chain, [ys] + [xs] * rest))
+        if rest:
+            chain = contract_first(chain, xs)
     return out
 
 

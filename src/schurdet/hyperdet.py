@@ -34,11 +34,11 @@ def random_skew_matrix(size: int, seed: int) -> Matrix:
         raise ValueError("size must be nonnegative")
     if size > MAX_DET_SIZE:
         raise SizeGuardError(f"skew matrices are drawn to size {MAX_DET_SIZE}, got {size}")
-    rng = SplitMix64(seed)
+    values = iter(SplitMix64(seed).next_ints(-9, 9, size * (size - 1) // 2))
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            value = Fraction(rng.next_int(-9, 9))
+            value = Fraction(next(values))
             rows[i][j] = value
             rows[j][i] = -value
     return rows

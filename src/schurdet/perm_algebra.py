@@ -160,6 +160,18 @@ class AlgebraElement:
         """The (Permutation, Fraction) pairs, sorted by image tuple."""
         return tuple((Permutation(k), Fraction(v, self.den)) for k, v in sorted(self.nums.items()))
 
+    @cached_property
+    def term_set(self) -> frozenset:
+        """frozenset(nums.items()): the hashable key of cached per-element tables."""
+        return frozenset(self.nums.items())
+
+    @cached_property
+    def young_sum(self) -> tuple[int, tuple] | None:
+        """(c, B) when nums is c on exactly the Young subgroup S_B, else None."""
+        coeffs = set(self.nums.values())
+        blocks = young_blocks(frozenset(self.nums)) if len(coeffs) == 1 else None
+        return None if blocks is None else (coeffs.pop(), blocks)
+
     @property
     def support_size(self) -> int:
         return len(self.nums)

@@ -10,8 +10,10 @@ language.  State is a 64-bit integer.  One step:
     output = z XOR (z >> 31)
 
 Bounded draws use rejection sampling on the top of the 64-bit range, so they
-are exactly uniform.  Sub-case seeds are successive raw outputs of one
-generator seeded with the parent seed; ``derived_seed`` names the k-th.
+are exactly uniform: a draw from the m values lo..hi takes outputs until one,
+u, is below 2**64 - (2**64 mod m), and returns lo + (u mod m).  Sub-case seeds
+are successive raw outputs of one generator seeded with the parent seed;
+``derived_seed`` names the k-th.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -26,36 +28,38 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def next_ints(self, lo: int, hi: int, count: int) -> list[int]:
+        """count uniform draws from [lo, hi], a range of 1..2**64 values checked first."""
+        bound = hi - lo + 1
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("range must hold 1..2**64 values")
+        limit = (1 << 64) - (1 << 64) % bound
+        state = self._state
+        out: list[int] = []
+        while len(out) < count:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                out.append(lo + z % bound)
+        self._state = state
+        return out
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.next_ints(0, _MASK64, 1)[0]
 
     def next_below(self, bound: int) -> int:
-        """Uniform draw from {0, ..., bound-1} by rejection sampling; bound <= 2**64."""
-        if not 0 < bound <= 1 << 64:
-            raise ValueError("bound must be in 1..2**64")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % bound
+        """Uniform draw from {0, ..., bound-1}; bound <= 2**64."""
+        return self.next_ints(0, bound - 1, 1)[0]
 
     def next_int(self, lo: int, hi: int) -> int:
         """Uniform draw from the inclusive range [lo, hi]."""
-        if hi < lo:
-            raise ValueError("empty range")
-        return lo + self.next_below(hi - lo + 1)
+        return self.next_ints(lo, hi, 1)[0]
 
 
 def derived_seed(seed: int, index: int) -> int:
     """Seed for sub-case `index`: the (index+1)-th raw output of SplitMix64(seed)."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    gen = SplitMix64(seed)
-    value = gen.next_u64()
-    for _ in range(index):
-        value = gen.next_u64()
-    return value
+    return SplitMix64(seed).next_ints(0, _MASK64, index + 1)[index]

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
-from .perm_algebra import AlgebraElement, Permutation, isotypic_projector, young_blocks
+from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
 from .rational import as_fraction, common_denominator
 from .rng import SplitMix64
 
@@ -235,16 +235,14 @@ def _orbit_sums(element: AlgebraElement, tensor: Tensor) -> tuple | None:
     None for any other element."""
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
-    if len(set(element.nums.values())) != 1:
+    young = element.young_sum
+    if young is None:
         return None
-    blocks = young_blocks(frozenset(element.nums))
-    if blocks is None:
-        return None
-    table = _orbit_table(blocks, tensor.dim)
+    table = _orbit_table(young[1], tensor.dim)
     sums = [0] * len(tensor.nums)
     for r, a in zip(table[0], tensor.nums):
         sums[r] += a
-    return next(iter(element.nums.values())), table, sums
+    return young[0], table, sums
 
 
 @lru_cache(maxsize=None)
@@ -282,8 +280,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     entries = tensor.nums
     if young is None:
         out = [0] * len(entries)
-        key = frozenset(element.nums.items())
-        for indices, rows in _weight_blocks(key, element.degree, tensor.dim):
+        for indices, rows in _weight_blocks(element.term_set, element.degree, tensor.dim):
             column = [entries[f] for f in indices]
             for f, row in zip(indices, rows):
                 out[f] = sum(map(mul, row, column))
@@ -375,15 +372,14 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
     """
     _dense_size(lam.weight, dim)
     projector, _ = isotypic_projector(lam)
-    blocks = _weight_blocks(frozenset(projector.nums.items()), lam.weight, dim)
+    blocks = _weight_blocks(projector.term_set, lam.weight, dim)
     return sum(rank_exact(rows) for _, rows in blocks)
 
 
 def random_tensor(order: int, dim: int, seed: int) -> Tensor:
     """Seeded tensor with integer entries in [-9, 9], drawn in flat entry order."""
     size = _tensor_size(order, dim)
-    rng = SplitMix64(seed)
-    return Tensor._from_ints(order, dim, [rng.next_int(-9, 9) for _ in range(size)], 1)
+    return Tensor._from_ints(order, dim, SplitMix64(seed).next_ints(-9, 9, size), 1)
 
 
 def random_vector(dim: int, seed: int, nonzero: bool = False) -> Vector:
@@ -394,7 +390,7 @@ def random_vector(dim: int, seed: int, nonzero: bool = False) -> Vector:
     _tensor_size(1, dim)
     rng = SplitMix64(seed)
     for _ in range(64):
-        vec = tuple(Fraction(rng.next_int(-9, 9)) for _ in range(dim))
+        vec = tuple(map(Fraction, rng.next_ints(-9, 9, dim)))
         if not nonzero or any(vec):
             return vec
     raise InternalConsistencyError("could not draw a nonzero vector")

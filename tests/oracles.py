@@ -13,7 +13,8 @@ library splits it by weight space), the Pfaffian by Fraction expansion over
 copied minors, the 2x2x2 kernel probe search over KernelWitness candidates and
 slot slices, and the Schläfli coefficients from Fraction 2 x 2 determinants of
 the first-index pencil (the library runs all three on integers; the pencil
-route lives only here).
+route lives only here), and SplitMix64 written from its specification (the
+library batches its draws).
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -323,3 +324,26 @@ def reference_pfaffian(rows) -> Fraction:
         # expansion sign for pairing slot 1 with slot j+1 (1-based): (-1)^(j+1)
         total += term if j % 2 else -term
     return total
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 from the step in rng's module docstring, one raw output at a time,
+    and bounded draws by that docstring's rejection rule; nothing from schurdet."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+
+    def raw(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def draw(self, lo: int, hi: int) -> int:
+        """lo + (u mod m) for the first raw output u below 2**64 - (2**64 mod m)."""
+        m = hi - lo + 1
+        while True:
+            u = self.raw()
+            if u < 2**64 - 2**64 % m:
+                return lo + u % m

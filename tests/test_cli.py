@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -266,9 +267,7 @@ class TestHyperdetCommand:
         assert "integers" in self.input_error(capsys, "--input", path)
 
     @pytest.mark.parametrize(
-        "data",
-        [b"\xff\xfe[1]", b"1" * 5000, b"[" * 100_000],
-        ids=["bad-utf8", "int-past-digit-limit", "deep-nesting"],
+        "data", [b"\xff\xfe[1]", b"[" * 100_000], ids=["bad-utf8", "deep-nesting"]
     )
     def test_unreadable_json(self, capsys, tmp_path, data):
         path = tmp_path / "bad.json"
@@ -343,7 +342,24 @@ class TestHyperdetCommand:
             flags = [mode]
         path = self.write(tmp_path, "doc.json", obj)
         err = self.input_error(capsys, "--input", path, *flags, "--output", output)
-        assert "digits" in err
+        self.assert_names_the_digit_limit(err)
+
+    @pytest.mark.parametrize(
+        "mode", [(), ("--pfaffian",), ("--det",)], ids=["tensor", "--pfaffian", "--det"]
+    )
+    def test_json_integer_past_the_digit_limit(self, capsys, tmp_path, mode):
+        """A JSON integer the interpreter will not read is refused in every mode."""
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"[[" + b"1" * (sys.get_int_max_str_digits() + 1) + b"]]")
+        err = self.input_error(capsys, "--input", str(path), *mode)
+        assert "not valid JSON" not in err
+        self.assert_names_the_digit_limit(err)
+
+    @staticmethod
+    def assert_names_the_digit_limit(err):
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+        assert "use smaller entries" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_oversized_order(self, capsys, tmp_path):
         tensor = {"order": 2_000_000, "dim": 2, "entries": ["0"]}

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurdet import (
     InvalidWitnessError,
@@ -31,7 +33,20 @@ from schurdet import (
 )
 from schurdet import degeneracy
 
-from oracles import reference_algebra_action, reference_evaluate
+from oracles import reference_algebra_action, reference_evaluate, reference_slot_slice
+from test_tensor_space import fraction_tensors, fractions
+
+# orders 1-5 and dims 1-3: every (p, n) a sweep runs, and order 1
+sweep_tensors = fraction_tensors(st.integers(1, 5), st.integers(1, 3))
+
+
+def first_failure(tensor, vectors):
+    """The first nonzero (slot, component) of the reference slices over slots 1..p."""
+    for slot in range(1, tensor.order + 1):
+        for component, value in enumerate(reference_slot_slice(tensor, vectors, slot)):
+            if value != 0:
+                return slot, component
+    return None
 
 
 def P(*parts):
@@ -62,6 +77,36 @@ class TestKernelWitness:
         assert kernel_failure(t, KernelWitness([E1, E2, E2])) is None
         # two aligned slots leave the third slice nonzero
         assert kernel_failure(t, KernelWitness([E1, E1, E2])) == (3, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_per_slot_witnesses_match_the_reference(self, data):
+        t = data.draw(sweep_tensors)
+        vector = st.lists(fractions, min_size=t.dim, max_size=t.dim).filter(any)
+        vectors = [data.draw(vector) for _ in range(t.order)]
+        assert kernel_failure(t, KernelWitness(vectors)) == first_failure(t, vectors)
+
+    @pytest.mark.parametrize(
+        "order, slot", [(p, k) for p in range(1, 6) for k in range(1, p + 1)]
+    )
+    def test_passes_the_slots_before_the_first_failing_one(self, order, slot):
+        """A rank-one term failing only at `slot`, plus one failing only at the next
+        slot: the slots before pass through the chain, and the first failure wins."""
+        # x^j = (j, 1) / 5 pairs nonzero with u_j = (1, j) and w_j = (2, j), but
+        # x^slot = (slot, -1) kills u_slot only and x^(slot+1) kills w_(slot+1) only
+        us = [(1, j) for j in range(1, order + 1)]
+        ws = [(2, j) for j in range(1, order + 1)]
+        xs = [(Fraction(j, 5), Fraction(1, 5)) for j in range(1, order + 1)]
+        xs[slot - 1] = (slot, -1)
+        t = rank_one(us)
+        if slot < order:
+            xs[slot] = (slot + 1, -2)
+            t = t + rank_one(ws)
+        expected = first_failure(t, xs)
+        assert expected is not None and expected[0] == slot
+        if slot < order:
+            assert any(reference_slot_slice(t, xs, slot + 1))
+        assert kernel_failure(t, KernelWitness(xs)) == expected
 
     def test_witness_must_match_the_tensor(self):
         t = random_tensor(3, 3, 1)
@@ -213,6 +258,16 @@ class TestSubstitutionValues:
                     assert values[k] == reference_evaluate(t, vectors)
                 differs = differs or values != [reference_evaluate(t, [x] * 3)] * 3
             assert differs
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_order_matches_the_reference(self, data):
+        t = data.draw(sweep_tensors)
+        x, y = (data.draw(st.lists(fractions, min_size=t.dim, max_size=t.dim)) for _ in "xy")
+        p = t.order
+        expected = [reference_evaluate(t, [x] * k + [y] + [x] * (p - 1 - k)) for k in range(p)]
+        assert substitution_values(t, x, y) == expected
 
 
 class TestDegeneracySweep:

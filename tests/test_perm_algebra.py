@@ -376,6 +376,21 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             hash(x)
 
+    def test_term_set_and_young_sum_are_built_once(self):
+        """The cache keys read on every projection of a cached projector."""
+        projector, _ = isotypic_projector(P(3, 2))
+        assert projector.term_set == frozenset(projector.nums.items())
+        assert projector.term_set is projector.term_set
+        assert projector.young_sum is None
+        for pi in all_set_partitions(4):
+            for scalar in (1, Fraction(-3, 2)):
+                x = positive_element(pi).scale(scalar)
+                # the numerator over the whole S_B; the denominator stays in x.den
+                assert x.young_sum == (Fraction(scalar).numerator, pi.blocks)
+                assert x.young_sum is x.young_sum
+        assert AlgebraElement(3).young_sum is None
+        assert young_symmetrizer(P(2, 1)).young_sum is None
+
 
 class TestTableauGroups:
     def test_support_is_the_row_group_times_the_column_group(self):
