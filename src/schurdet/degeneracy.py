@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidWitnessError, SizeGuardError
-from .linalg import Matrix, rank_exact
+from .linalg import MAX_DET_SIZE, Matrix, rank_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
 from .perm_algebra import positive_element
 from .rng import SplitMix64
@@ -33,7 +33,7 @@ from .tensor_space import (
     slot_slice,
 )
 
-MAX_SLOT_SYSTEM = 64
+MAX_SLOT_SYSTEM = MAX_DET_SIZE - 1  # the mu1 system has mu1 + 1 rows
 MAX_EIGENCHECK = 16
 MAX_SWEEP_ORDER = 5
 MAX_SWEEP_DIM = 3

@@ -6,11 +6,10 @@ Each row is cleared of denominators once; elimination then builds only minors.""
 from fractions import Fraction
 
 from .errors import SizeGuardError
-from .rational import as_fraction, common_denominator
+from .rational import MAX_DENOMINATOR_BITS, as_fraction, common_denominator
 
 MAX_DET_SIZE = 65
 MAX_DET_BITS = 1024  # bound on the sum over the rows of the largest entry's bit length
-MAX_MATRIX_BITS = 1 << 22  # bound on the sum of row length * bit length of the row denominator
 
 Matrix = list[list[Fraction]]
 
@@ -19,12 +18,12 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the least positive integer that clears it, and their product.
 
     The shape is checked before any entry is read; the rows' denominators
-    share one MAX_MATRIX_BITS budget, as a `Tensor`'s does.
+    share one MAX_DENOMINATOR_BITS budget, as a `Tensor`'s does.
     """
     m = [list(row) for row in rows]
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
-    scale, budget = 1, MAX_MATRIX_BITS
+    scale, budget = 1, MAX_DENOMINATOR_BITS
     for i, row in enumerate(m):
         if not set(map(type, row)) <= {int}:
             m[i], den = common_denominator([as_fraction(x) for x in row], budget)

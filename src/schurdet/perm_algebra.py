@@ -94,10 +94,6 @@ class Permutation:
             out.append(tuple(cycle))
         return out
 
-    def cycle_partition(self) -> SetPartition:
-        """The set partition of {1..p} into orbits."""
-        return SetPartition(self.cycles())
-
     @property
     def sign(self) -> int:
         """Parity: (-1) ** (degree - number of cycles)."""
@@ -147,10 +143,6 @@ class AlgebraElement:
     @classmethod
     def unit(cls, degree: int) -> AlgebraElement:
         return cls(degree, {Permutation.identity(degree): 1})
-
-    @classmethod
-    def from_permutation(cls, perm: Permutation, coeff=1) -> AlgebraElement:
-        return cls(perm.degree, {perm: coeff})
 
     def coefficient(self, perm: Permutation) -> Fraction:
         return Fraction(self.nums.get(perm.images, 0), self.den)
@@ -218,38 +210,33 @@ class AlgebraElement:
 def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     """Group algebra product: bilinear extension of composition.
 
-    The left factor's image tuples are grouped by numerator.  A group that is
-    exactly a Young subgroup H = S_B goes by coset sums: the coefficient of g in
-    (sum of H) * right is right's sum over the coset Hg, keyed by the block of
-    each image, and each nonzero coset sum goes to the |H| members h * tau.  Any
-    other group composes every pair sigma * tau.  Numerators accumulate by image
-    tuple over the product of the two denominators.
+    A left factor that is c times the sum of a Young subgroup H = S_B goes by
+    coset sums: right's numerators are summed over each coset H tau, keyed by
+    the block of each image, and each nonzero sum goes to its |H| members h * tau.
+    Any other left factor composes every pair sigma * tau.
     """
     if left.degree != right.degree:
         raise ValueError("degree mismatch")
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for sigma, a in left.nums.items():
-        groups.setdefault(a, []).append(sigma)
+    # at degree 1 itemgetter(*tau) would return a point, not a tuple
+    young = left.young_sum if left.degree > 1 else None
     acc: dict[tuple[int, ...], int] = {}
-    for a, group in groups.items():
-        # two or more members means degree >= 2: each itemgetter below returns a tuple
-        blocks = young_blocks(frozenset(group)) if len(group) > 1 else None
-        if blocks is not None:
-            block_of = {x: k for k, block in enumerate(blocks) for x in block}
-            cosets: dict[tuple[int, ...], list] = {}  # block pattern -> [tau, sum]
-            for tau, b in right.nums.items():
-                cosets.setdefault(itemgetter(*tau)(block_of), [tau, 0])[1] += b
-            padded = [(0,) + h for h in group]  # (h * tau)(j) = padded[tau(j)]
-            for tau, total in cosets.values():
-                if total:
-                    for g in map(itemgetter(*tau), padded):
-                        acc[g] = acc.get(g, 0) + a * total
-            continue
-        for sigma in group:
+    if young is None:
+        for sigma, a in left.nums.items():
             look = ((0,) + sigma).__getitem__  # look(j) = sigma(j)
             for tau, b in right.nums.items():
                 key = tuple(map(look, tau))
                 acc[key] = acc.get(key, 0) + a * b
+    else:
+        a, blocks = young
+        block_of = {x: k for k, block in enumerate(blocks) for x in block}
+        cosets: dict[tuple[int, ...], list] = {}  # block pattern -> [tau, sum]
+        for tau, b in right.nums.items():
+            cosets.setdefault(itemgetter(*tau)(block_of), [tau, 0])[1] += b
+        padded = [(0,) + h for h in left.nums]  # (h * tau)(j) = padded[tau(j)]
+        for tau, total in cosets.values():
+            if total:  # distinct cosets, and distinct h in one, give distinct products
+                for g in map(itemgetter(*tau), padded):
+                    acc[g] = a * total
     return AlgebraElement._from_ints(left.degree, acc, left.den * right.den)
 
 

@@ -9,6 +9,9 @@ from typing import Sequence
 from .errors import SizeGuardError
 
 MAX_RATIONAL_TEXT = 1000
+# bound on the values' count times the bit length of their common denominator;
+# a Tensor has it alone, a matrix's rows share it
+MAX_DENOMINATOR_BITS = 1 << 22
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 

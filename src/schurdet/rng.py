@@ -12,8 +12,9 @@ language.  State is a 64-bit integer.  One step:
 Bounded draws use rejection sampling on the top of the 64-bit range, so they
 are exactly uniform: a draw from the m values lo..hi takes outputs until one,
 u, is below 2**64 - (2**64 mod m), and returns lo + (u mod m).  Sub-case seeds
-are successive raw outputs of one generator seeded with the parent seed;
-``derived_seed`` names the k-th.
+are successive raw outputs of one generator seeded with the parent seed.
+After k steps the state is seed + k * 0x9E3779B97F4A7C15 mod 2**64, so
+``derived_seed(seed, k)`` starts a generator at that state and takes one step.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -49,17 +50,9 @@ class SplitMix64:
     def next_u64(self) -> int:
         return self.next_ints(0, _MASK64, 1)[0]
 
-    def next_below(self, bound: int) -> int:
-        """Uniform draw from {0, ..., bound-1}; bound <= 2**64."""
-        return self.next_ints(0, bound - 1, 1)[0]
-
-    def next_int(self, lo: int, hi: int) -> int:
-        """Uniform draw from the inclusive range [lo, hi]."""
-        return self.next_ints(lo, hi, 1)[0]
-
 
 def derived_seed(seed: int, index: int) -> int:
     """Seed for sub-case `index`: the (index+1)-th raw output of SplitMix64(seed)."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    return SplitMix64(seed).next_ints(0, _MASK64, index + 1)[index]
+    return SplitMix64(seed + index * _GAMMA).next_u64()

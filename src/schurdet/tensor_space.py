@@ -32,11 +32,10 @@ from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
 from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
-from .rational import as_fraction, common_denominator
+from .rational import MAX_DENOMINATOR_BITS, as_fraction, common_denominator
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
-MAX_TENSOR_BITS = 1 << 22  # bound on size * bit length of the common denominator
 
 Vector = tuple[Fraction, ...]
 
@@ -86,7 +85,7 @@ class Tensor:
         values = [as_fraction(v) for v in entries]
         if len(values) != size:
             raise ValueError(f"expected {size} entries, got {len(values)}")
-        nums, den = common_denominator(values, MAX_TENSOR_BITS)
+        nums, den = common_denominator(values, MAX_DENOMINATOR_BITS)
         # frozen: the fields go straight into the instance dict, here and below
         vars(self).update(order=order, dim=dim, nums=tuple(nums), den=den)
 

@@ -4,17 +4,18 @@ Each of these computes a value by a route the library deliberately does not
 use: closed-form counting formulas, the fully expanded quartic invariant,
 plain Fraction loops over multi-indices for the slot action, contraction and
 slicing, and over term pairs for the group algebra product (the library runs
-those on integer numerators over one denominator, with coset sums for Young
-subgroups), the isotypic projector from the Young symmetrizer, by explicit
-conjugation and by class masses (the library builds it from characters), rank
-and determinant by Fraction Gaussian elimination (the library eliminates
-fraction-free on integers), the isotypic rank from one dense matrix (the
-library splits it by weight space), the Pfaffian by Fraction expansion over
-copied minors, the 2x2x2 kernel probe search over KernelWitness candidates and
+those on integer numerators over one denominator, with coset sums for a Young
+sum on the left), the Young symmetrizer from row and column groups filtered out of
+itertools' permutations, with inversion-count signs, and the isotypic projector
+from it, by explicit conjugation and by class masses (the library builds it
+from characters), rank and determinant by Fraction Gaussian elimination (the
+library eliminates fraction-free on integers), the isotypic rank from one
+dense matrix (the library splits it by weight space), the Pfaffian by Fraction
+expansion over copied minors, the 2x2x2 kernel probe search over the reference
 slot slices, and the Schläfli coefficients from Fraction 2 x 2 determinants of
 the first-index pencil (the library runs all three on integers; the pencil
 route lives only here), and SplitMix64 written from its specification (the
-library batches its draws).
+library batches its draws).  Only data types come from schurdet.
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -22,8 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from schurdet import KernelWitness, Partition, Tensor, as_fraction, kernel_failure
-from schurdet.perm_algebra import AlgebraElement, all_permutations, young_symmetrizer
+from schurdet import AlgebraElement, KernelWitness, Partition, Permutation, SetPartition, Tensor
 
 
 def hook_length_count(lam: Partition) -> int:
@@ -142,11 +142,40 @@ def reference_slot_slice(tensor: Tensor, vectors, slot: int) -> tuple[Fraction, 
     return tuple(out)
 
 
+def _permutations(degree: int) -> list[Permutation]:
+    """S_degree from itertools, images in lexicographic order."""
+    return [Permutation(g) for g in itertools.permutations(range(1, degree + 1))]
+
+
+def _inversion_sign(g: Permutation) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(g.images, 2))
+    return -1 if inversions % 2 else 1
+
+
+def reference_young_symmetrizer(lam: Partition) -> AlgebraElement:
+    """(row sum) * (signed column sum) of the row-major filling, by reference_multiply.
+
+    Boxes are numbered left to right, top to bottom; the row group keeps every
+    box in its row and the column group every box in its column, both filtered
+    out of the whole of S_p.  Column permutations carry their inversion-count sign.
+    """
+    p = lam.weight
+    boxes = [(i, j) for i, length in enumerate(lam.parts) for j in range(length)]
+
+    def keeps(g, side):
+        return all(boxes[g(x) - 1][side] == boxes[x - 1][side] for x in range(1, p + 1))
+
+    perms = _permutations(p)
+    rows = AlgebraElement(p, {g: 1 for g in perms if keeps(g, 0)})
+    columns = AlgebraElement(p, {g: _inversion_sign(g) for g in perms if keeps(g, 1)})
+    return reference_multiply(rows, columns)
+
+
 def reference_central_sum(lam: Partition) -> AlgebraElement:
     """sum over g in S_p of g * c * g^{-1}, c the Young symmetrizer of lam."""
     terms: dict = {}
-    c = list(young_symmetrizer(lam).terms)
-    for g in all_permutations(lam.weight):
+    c = list(reference_young_symmetrizer(lam).terms)
+    for g in _permutations(lam.weight):
         g_inv = g.inverse()
         for sigma, coeff in c:
             conj = g * sigma * g_inv
@@ -165,12 +194,12 @@ def reference_class_mass_projector(lam: Partition) -> AlgebraElement:
     """
     p = lam.weight
     mass: dict = {}
-    for sigma, coeff in young_symmetrizer(lam).terms:
-        cycle_type = sigma.cycle_partition().shape()
+    for sigma, coeff in reference_young_symmetrizer(lam).terms:
+        cycle_type = SetPartition(sigma.cycles()).shape()
         mass[cycle_type] = mass.get(cycle_type, 0) + coeff
     classes: dict = {}
-    for g in all_permutations(p):
-        classes.setdefault(g.cycle_partition().shape(), []).append(g)
+    for g in _permutations(p):
+        classes.setdefault(SetPartition(g.cycles()).shape(), []).append(g)
     scale = Fraction(math.factorial(p), hook_length_count(lam)) ** 2
     return AlgebraElement(p, {
         g: mass.get(cycle_type, 0) * math.factorial(p) / (len(members) * scale)
@@ -211,7 +240,7 @@ def reference_isotypic_rank(lam: Partition, dim: int) -> int:
 
 
 def _fraction_matrix(rows) -> list[list[Fraction]]:
-    out = [[as_fraction(x) for x in row] for row in rows]
+    out = [[Fraction(x) for x in row] for row in rows]
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
@@ -284,9 +313,8 @@ GRID_PROBES = tuple(
 def reference_grid_witness(tensor: Tensor) -> KernelWitness | None:
     """First probe triple, x slowest and z fastest, whose slot slices all vanish."""
     for triple in itertools.product(GRID_PROBES, repeat=3):
-        candidate = KernelWitness(triple)
-        if kernel_failure(tensor, candidate) is None:
-            return candidate
+        if not any(any(reference_slot_slice(tensor, triple, slot)) for slot in (1, 2, 3)):
+            return KernelWitness(triple)
     return None
 
 

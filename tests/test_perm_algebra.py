@@ -23,7 +23,12 @@ from schurdet import (
 )
 from schurdet import perm_algebra
 from schurdet.perm_algebra import multiply
-from oracles import reference_central_sum, reference_class_mass_projector, reference_multiply
+from oracles import (
+    reference_central_sum,
+    reference_class_mass_projector,
+    reference_multiply,
+    reference_young_symmetrizer,
+)
 
 
 def P(*parts):
@@ -97,8 +102,8 @@ class TestPermutation:
     def test_cycles(self):
         a = Permutation([2, 3, 1, 4, 6, 5])
         assert a.cycles() == [(1, 2, 3), (4,), (5, 6)]
-        assert a.cycle_partition() == SetPartition([[1, 2, 3], [4], [5, 6]])
-        assert a.cycle_partition().shape() == P(3, 2, 1)
+        assert SetPartition(a.cycles()) == SetPartition([[1, 2, 3], [4], [5, 6]])
+        assert SetPartition(a.cycles()).shape() == P(3, 2, 1)
 
     def test_all_permutations_count(self):
         for p in range(1, 6):
@@ -125,8 +130,8 @@ class TestAlgebraElement:
     def test_multiplication_matches_composition(self):
         s = Permutation([2, 1, 3])
         t = Permutation([1, 3, 2])
-        prod = AlgebraElement.from_permutation(s) * AlgebraElement.from_permutation(t)
-        assert prod == AlgebraElement.from_permutation(s * t)
+        prod = AlgebraElement(3, {s: 1}) * AlgebraElement(3, {t: 1})
+        assert prod == AlgebraElement(3, {s * t: 1})
 
     def test_unit_is_neutral(self):
         x = AlgebraElement(
@@ -143,7 +148,7 @@ class TestAlgebraElement:
     def test_product_is_associative_and_distributive(self):
         # a handful of structured elements is enough to catch sign slips
         elems = [
-            AlgebraElement.from_permutation(Permutation([2, 1, 3]), 2),
+            AlgebraElement(3, {Permutation([2, 1, 3]): 2}),
             young_symmetrizer(P(2, 1)),
             positive_element(SetPartition([[1, 3], [2]])) - young_symmetrizer(P(1, 1, 1)),
             AlgebraElement.unit(3).scale(Fraction(1, 3)),
@@ -193,8 +198,8 @@ class TestMultiplyKernel:
         # (1 + s)(1 - s) = 1 - s^2 = 0 for a transposition s
         s = Permutation([2, 1, 3])
         e = AlgebraElement.unit(3)
-        plus = e + AlgebraElement.from_permutation(s)
-        minus = e - AlgebraElement.from_permutation(s)
+        plus = e + AlgebraElement(3, {s: 1})
+        minus = e - AlgebraElement(3, {s: 1})
         self.check(plus, minus)
         assert multiply(plus, minus).is_zero
         # x (1 + s) (1 - s) = 0 as well, through many cancelling term pairs
@@ -204,16 +209,17 @@ class TestMultiplyKernel:
         # partial cancellation: (1 + s)(1 - s + c t) = c t + c s t
         c = Fraction(5, 2)
         t = Permutation([1, 3, 2])
-        mixed = minus + AlgebraElement.from_permutation(t, c)
+        mixed = minus + AlgebraElement(3, {t: c})
         self.check(plus, mixed)
         assert multiply(plus, mixed) == AlgebraElement(3, {t: c, s * t: c})
 
 
 @st.composite
 def young_left_factors(draw, degree):
-    """Left factors whose numerator groups are whole Young subgroups, or not:
-    a scaled positive element, a sum of two with equal or different
-    coefficients, or a positive element plus stray terms."""
+    """Left factors that are one coefficient over a whole Young subgroup or not:
+    a scaled positive element (coset sums), a sum of two with equal or
+    different coefficients, or a positive element plus stray terms (term pairs,
+    unless the sum happens to be Young again)."""
     pis = st.sampled_from(all_set_partitions(degree))
     c = draw(fractions.filter(bool))
     left = positive_element(draw(pis)).scale(c)
@@ -236,7 +242,7 @@ def right_factors(degree):
 
 
 class TestCosetProducts:
-    """Numerator groups of the left factor that are whole Young subgroups are
+    """A left factor that is one coefficient over a whole Young subgroup is
     multiplied by coset sums; every product still equals the Fraction loop."""
 
     check = TestMultiplyKernel.check
@@ -271,6 +277,19 @@ class TestCosetProducts:
         for right in (young_symmetrizer(P(2, 2)), isotypic_projector(P(3, 1))[0], left):
             self.check(left, right)
             self.check(right, left)
+
+    def test_degree_one_and_degree_two_left_factors(self):
+        # degree 1 composes its one term pair; itemgetter on one index gives no tuple
+        left = AlgebraElement(1, {Permutation([1]): 3})
+        assert left.young_sum == (3, ((1,),))
+        self.check(left, AlgebraElement(1, {Permutation([1]): Fraction(-2, 5)}))
+        # degree 2: S_2 is one coset, so both right terms sum to -5/2 on each member
+        left = positive_element(SetPartition([[1, 2]]))
+        assert left.young_sum == (1, ((1, 2),))
+        e, s = Permutation([1, 2]), Permutation([2, 1])
+        right = AlgebraElement(2, {e: Fraction(1, 2), s: -3})
+        self.check(left, right)
+        assert multiply(left, right) == AlgebraElement(2, {e: Fraction(-5, 2), s: Fraction(-5, 2)})
 
     def test_identity_alone_and_the_degree_one_group(self):
         assert perm_algebra.young_blocks(frozenset({(1,)})) == ((1,),)
@@ -330,7 +349,7 @@ class TestCanonicalForm:
 
     def test_zero_has_denominator_one(self):
         half = AlgebraElement.unit(3).scale(Fraction(1, 2))
-        s = AlgebraElement.from_permutation(Permutation([2, 1, 3]))
+        s = AlgebraElement(3, {Permutation([2, 1, 3]): 1})
         unit = AlgebraElement.unit(3)
         zeros = [
             AlgebraElement(3),
@@ -409,6 +428,11 @@ class TestTableauGroups:
         assert col.support_size == 6
         assert all(c == g.sign for g, c in col.terms)
 
+    def test_young_symmetrizer_matches_the_filtered_groups(self):
+        for w in range(1, 6):
+            for lam in all_partitions(w):
+                assert young_symmetrizer(lam) == reference_young_symmetrizer(lam)
+
     def test_young_symmetrizer_hook_frozen(self):
         c = young_symmetrizer(P(2, 1))
         expected = {
@@ -460,7 +484,7 @@ class TestPositiveElement:
             assert all(c == 1 for _, c in pos.terms)
             for g in all_permutations(4):
                 in_support = pos.coefficient(g) == 1
-                assert in_support == g.cycle_partition().refines(pi)
+                assert in_support == SetPartition(g.cycles()).refines(pi)
 
     def test_discrete_partition_gives_the_unit(self):
         pi = SetPartition([[1], [2], [3]])
@@ -519,9 +543,7 @@ class TestIsotypicProjector:
         for lam in all_partitions(4):
             proj, _ = isotypic_projector(lam)
             for k in range(1, 4):
-                t = AlgebraElement.from_permutation(
-                    Permutation.from_cycles(4, (k, k + 1))
-                )
+                t = AlgebraElement(4, {Permutation.from_cycles(4, (k, k + 1)): 1})
                 assert t * proj == proj * t
 
     def test_fault_check_fires(self, monkeypatch):

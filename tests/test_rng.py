@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,10 +25,18 @@ def test_reference_output():
 @settings(max_examples=50)
 @given(st.integers(-(2**70), 2**70), st.integers(1, 40))
 def test_one_stream_gives_the_derived_seeds(seed, count):
+    # stepping one stream against jumping to each state
     stream = SplitMix64(seed)
     assert [stream.next_u64() for _ in range(count)] == [
         derived_seed(seed, k) for k in range(count)
     ]
+
+
+def test_a_far_derived_seed_is_one_jump():
+    # the value is the 2,000,001st raw output, taken once by stepping the stream
+    start = time.perf_counter()
+    assert derived_seed(5, 2_000_000) == 0x48ED3E2936B115A1
+    assert time.perf_counter() - start < 0.5  # stepping there is 2,000,001 loop turns
 
 
 @settings(max_examples=100)
@@ -40,8 +50,8 @@ def test_batched_draws_follow_the_specification(seed, lo, width, count):
     assert stream.next_ints(lo, hi, count) == [reference.draw(lo, hi) for _ in range(count)]
     # the batch leaves the state where the single draws leave it
     assert stream.next_u64() == reference.raw()
-    assert stream.next_int(lo, hi) == reference.draw(lo, hi)
-    assert stream.next_below(width) == reference.draw(0, width - 1)
+    assert stream.next_ints(lo, hi, 1) == [reference.draw(lo, hi)]
+    assert stream.next_ints(0, width - 1, 1) == [reference.draw(0, width - 1)]
 
 
 @pytest.mark.parametrize("lo, hi", [(0, -1), (5, 3), (0, 2**64), (-(2**70), 2**70)])
@@ -52,18 +62,19 @@ def test_bad_ranges_are_refused_before_any_draw(lo, hi):
     with pytest.raises(ValueError):
         stream.next_ints(lo, hi, 4)
     with pytest.raises(ValueError):
-        stream.next_int(lo, hi)
+        stream.next_ints(lo, hi, 1)
     assert stream.next_u64() == ReferenceSplitMix64(11).raw()
 
 
 def test_bounds_past_two_to_the_64_are_refused():
     with pytest.raises(ValueError):
-        SplitMix64(1).next_int(0, 2**64)
+        SplitMix64(1).next_ints(0, 2**64, 1)
     for bound in (0, (1 << 64) + 1, 2**70):
         with pytest.raises(ValueError):
-            SplitMix64(1).next_below(bound)
+            SplitMix64(1).next_ints(0, bound - 1, 1)
 
 
 def test_full_range_bound_is_the_raw_output():
     stream = SplitMix64(7)
-    assert [stream.next_below(1 << 64) for _ in range(3)] == [derived_seed(7, k) for k in range(3)]
+    draws = [stream.next_ints(0, (1 << 64) - 1, 1)[0] for _ in range(3)]
+    assert draws == [derived_seed(7, k) for k in range(3)]

@@ -262,7 +262,7 @@ class TestAlgebraAction:
     def test_linear_in_the_element(self):
         t = random_tensor(3, 2, 13)
         a = young_symmetrizer(P(2, 1))
-        b = AlgebraElement.from_permutation(Permutation([3, 1, 2]), "1/2")
+        b = AlgebraElement(3, {Permutation([3, 1, 2]): "1/2"})
         lhs = algebra_action(a + b, t)
         assert lhs == algebra_action(a, t) + algebra_action(b, t)
 
