@@ -1,10 +1,11 @@
 """Closed-form degeneracy invariants for the two small classical cases.
 
 Order 2 is classical: a skew-symmetric bilinear form degenerates exactly when
-its Pfaffian vanishes.  For 2 x 2 x 2 tensors the invariant is the quartic
-hyperdeterminant, computed here through the pencil of first-index slices: with
-det(A0 + t A1) = b0 + b1 t + b2 t^2, the invariant is b1^2 - 4 b0 b2.  The
-all-ones-diagonal tensor gets value +1 under this normalization.
+its Pfaffian vanishes, here found by fraction-free skew elimination.  For
+2 x 2 x 2 tensors the invariant is the quartic hyperdeterminant, computed here
+through the pencil of first-index slices: with det(A0 + t A1) = b0 + b1 t +
+b2 t^2, the invariant is b1^2 - 4 b0 b2.  The all-ones-diagonal tensor gets
+value +1 under this normalization.
 
 All three kernels run on integers.  The kernel probe search prunes each y whose
 slot-3 slice is nonzero and confirms its witness through `kernel_failure`.
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 from .degeneracy import KernelWitness, kernel_failure
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import MAX_DET_SIZE, Matrix
-from .rational import as_fraction, common_denominator
+from .rational import integer_values
 from .rng import SplitMix64
 from .tensor_space import Tensor
 
@@ -45,11 +46,11 @@ def random_skew_matrix(size: int, seed: int) -> Matrix:
 
 
 def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
-    """Pfaffian of an even-size skew-symmetric matrix, by first-row expansion.
+    """Pfaffian of an even-size skew-symmetric matrix, by fraction-free skew elimination.
 
-    Squares to the determinant.  The shape is checked before any entry is read.
-    With d the common denominator, it expands d * A over integers: Pf(A) = Pf(dA) / d^(size/2).
-    """
+    Squares to the determinant.  The shape is checked before any entry is read, the
+    common denominator d against the intake's budget before d^(size/2) is built.
+    It eliminates d * A over integers: Pf(A) = Pf(dA) / d^(size/2)."""
     size = len(matrix)
     if size % 2:
         raise ValueError("Pfaffian needs an even-size matrix")
@@ -57,24 +58,35 @@ def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
         raise SizeGuardError(f"pfaffian supports size <= {MAX_PFAFFIAN}")
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
-    nums, den = common_denominator([as_fraction(v) for row in matrix for v in row])
+    nums, den = integer_values(v for row in matrix for v in row)
     m = [nums[i * size : (i + 1) * size] for i in range(size)]
     if any(m[i][j] != -m[j][i] for i in range(size) for j in range(size)):
         raise ValueError("matrix is not skew-symmetric")
-    return Fraction(_integer_pfaffian(m, tuple(range(size))), den ** (size // 2))
+    return Fraction(_integer_pfaffian(m), den ** (size // 2))
 
 
-def _integer_pfaffian(m: list[list[int]], indices: tuple[int, ...]) -> int:
-    """Pf of m on indices x indices; pairing indices[0] with rest[pos] has sign (-1)^pos."""
-    if not indices:
-        return 1
-    first, rest = indices[0], indices[1:]
-    total = 0
-    for pos, j in enumerate(rest):
-        if m[first][j]:
-            term = m[first][j] * _integer_pfaffian(m, rest[:pos] + rest[pos + 1 :])
-            total += -term if pos % 2 else term
-    return total
+def _integer_pfaffian(m: list[list[int]]) -> int:
+    """Pf of the skew integer matrix m, which it reduces in place.  Stage k moves row
+    k's first nonzero column to k + 1 (a sign flip); with p = m[k][k+1] and q the last
+    pivot, each m[i][j], k + 1 < i < j, becomes the Pfaffian minor on 0..k+1, i, j:
+    (p m_ij - m_ki m_(k+1)j + m_kj m_(k+1)i) / q, exact by Knuth's "Overlapping Pfaffians"."""
+    size, sign, q = len(m), 1, 1
+    for k in range(0, size, 2):
+        j = next((j for j in range(k + 1, size) if m[k][j]), None)
+        if j is None:
+            return 0
+        if j > k + 1:
+            sign = -sign
+            m[j], m[k + 1] = m[k + 1], m[j]
+            for row in m:
+                row[j], row[k + 1] = row[k + 1], row[j]
+        a, b, p = m[k], m[k + 1], m[k][k + 1]
+        for i in range(k + 2, size):
+            for j in range(i + 1, size):
+                m[i][j] = (p * m[i][j] - a[i] * b[j] + a[j] * b[i]) // q
+                m[j][i] = -m[i][j]
+        q = p
+    return sign * q
 
 
 def schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:

@@ -6,7 +6,7 @@ Each row is cleared of denominators once; elimination then builds only minors.""
 from fractions import Fraction
 
 from .errors import SizeGuardError
-from .rational import MAX_DENOMINATOR_BITS, as_fraction, common_denominator
+from .rational import MAX_DENOMINATOR_BITS, integer_values
 
 MAX_DET_SIZE = 65
 MAX_DET_BITS = 1024  # bound on the sum over the rows of the largest entry's bit length
@@ -16,19 +16,16 @@ Matrix = list[list[Fraction]]
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the least positive integer that clears it, and their product.
-
-    The shape is checked before any entry is read; the rows' denominators
-    share one MAX_DENOMINATOR_BITS budget, as a `Tensor`'s does.
-    """
-    m = [list(row) for row in rows]
+    The shape is checked before any entry is read; the rows' denominators share one
+    MAX_DENOMINATOR_BITS budget, as a `Tensor`'s does."""
+    m = list(rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     scale, budget = 1, MAX_DENOMINATOR_BITS
     for i, row in enumerate(m):
-        if not set(map(type, row)) <= {int}:
-            m[i], den = common_denominator([as_fraction(x) for x in row], budget)
-            budget -= den.bit_length() * len(row)
-            scale *= den
+        m[i], den = integer_values(row, budget)
+        budget -= den.bit_length() * len(row)
+        scale *= den
     return m, scale
 
 

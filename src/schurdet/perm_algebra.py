@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .partitions import Partition, SetPartition, as_int_tuple, character
-from .rational import as_fraction, common_denominator
+from .rational import as_fraction, integer_values
 
 MAX_GROUP_DEGREE = 8
 MAX_PROJECTOR_DEGREE = 6
@@ -126,7 +126,7 @@ class AlgebraElement:
         terms = terms or {}
         if any(perm.degree != degree for perm in terms):
             raise ValueError("term degree mismatch")
-        nums, den = common_denominator([as_fraction(c) for c in terms.values()])
+        nums, den = integer_values(terms.values())
         canonical = self._from_ints(degree, dict(zip((p.images for p in terms), nums)), den)
         # frozen: the fields go straight into the instance dict, here and below
         vars(self).update(vars(canonical))

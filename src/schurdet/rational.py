@@ -1,16 +1,16 @@
-"""Exact rational scalars: every scalar the package takes or hands out is a Fraction;
-inside, a `Tensor` and the kernels hold integer numerators over one denominator."""
+"""Exact rational scalars: every scalar the package hands out is a Fraction; inside, a
+`Tensor` and the kernels hold integer numerators over one denominator from `integer_values`."""
 
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import SizeGuardError
 
 MAX_RATIONAL_TEXT = 1000
-# bound on the values' count times the bit length of their common denominator;
-# a Tensor has it alone, a matrix's rows share it
+# bound on the values' count times the bit length of their common denominator; each
+# integer_values call has it alone, a matrix's rows share it
 MAX_DENOMINATOR_BITS = 1 << 22
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -38,10 +38,8 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def common_denominator(
-    values: Sequence[Fraction], max_bits: int | None = None
-) -> tuple[list[int], int]:
-    """Integers nums and den with values[i] == nums[i] / den, den the least such;
+def common_denominator(values: Sequence, max_bits: int | None = None) -> tuple[list[int], int]:
+    """For Fractions and ints, nums and den with values[i] == nums[i] / den, den least;
     SizeGuardError once len(values) * den.bit_length() passes a given max_bits."""
     den = 1
     for d in {v.denominator for v in values}:
@@ -49,3 +47,12 @@ def common_denominator(
         if max_bits is not None and den.bit_length() * len(values) > max_bits:
             raise SizeGuardError(f"common denominator passes {max_bits // len(values)} bits")
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def integer_values(values: Iterable, max_bits: int = MAX_DENOMINATOR_BITS) -> tuple[list[int], int]:
+    """The one scalar intake: common_denominator of the values, each checked as
+    `as_fraction` checks it, under max_bits.  A plain int builds no Fraction."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    return common_denominator([v if type(v) is int else as_fraction(v) for v in values], max_bits)

@@ -32,7 +32,7 @@ from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
 from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
-from .rational import MAX_DENOMINATOR_BITS, as_fraction, common_denominator
+from .rational import as_fraction, integer_values
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
@@ -82,10 +82,9 @@ class Tensor:
 
     def __init__(self, order: int, dim: int, entries: Iterable):
         size = _tensor_size(order, dim)
-        values = [as_fraction(v) for v in entries]
-        if len(values) != size:
-            raise ValueError(f"expected {size} entries, got {len(values)}")
-        nums, den = common_denominator(values, MAX_DENOMINATOR_BITS)
+        nums, den = integer_values(entries)
+        if len(nums) != size:
+            raise ValueError(f"expected {size} entries, got {len(nums)}")
         # frozen: the fields go straight into the instance dict, here and below
         vars(self).update(order=order, dim=dim, nums=tuple(nums), den=den)
 
@@ -110,9 +109,9 @@ class Tensor:
     @classmethod
     def from_map(cls, order: int, dim: int, assignments: dict) -> Tensor:
         """Build from {(i_1, ..., i_p): value} with 0-based indices; rest zero."""
-        entries = [Fraction(0)] * _tensor_size(order, dim)
+        entries = [0] * _tensor_size(order, dim)
         for indices, value in assignments.items():
-            entries[cls._flat(dim, order, tuple(indices))] = as_fraction(value)
+            entries[cls._flat(dim, order, tuple(indices))] = value
         return cls(order, dim, entries)
 
     @staticmethod
@@ -304,7 +303,7 @@ def _contract(nums: Sequence[int], den: int, dim: int, vector: Sequence, last: b
     slot 1 sums runs of len(nums) / dim entries, the last slot strides of dim."""
     if len(vector) != dim:
         raise ValueError("vector length must equal the tensor dimension")
-    weights, weight_den = common_denominator(make_vector(vector))
+    weights, weight_den = integer_values(vector)
     block = len(nums) // dim
     out = [0] * block
     for d, weight in enumerate(weights):

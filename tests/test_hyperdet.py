@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,28 @@ def skew_matrices(draw):
                 rows[i][j] = draw(fractions)
                 rows[j][i] = -rows[i][j]
     return rows
+
+
+@st.composite
+def integer_skew_matrices(draw):
+    """Even-size integer skew matrices, sizes 0-8, mostly zero above the diagonal."""
+    size = draw(st.sampled_from([0, 2, 4, 6, 8]))
+    sparse = st.one_of(st.just(0), st.just(0), st.integers(-10**6, 10**6))
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = draw(sparse)
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+def congruence(b, a):
+    """B A B^T over the integers."""
+    ba = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in b]
+    return [[sum(x * y for x, y in zip(row, other)) for other in b] for row in ba]
+
+
+J2 = [[0, 1], [-1, 0]]
 
 
 class TestPfaffian:
@@ -138,6 +161,67 @@ class TestPfaffian:
         assert pfaffian(scaled) == pfaffian(m) / 6**4 == oracles.reference_pfaffian(scaled)
         halves = [[0, "1/2", 0, 0], ["-1/2", 0, 0, 0], [0, 0, 0, "2/3"], [0, 0, "-2/3", 0]]
         assert pfaffian(halves) == Fraction(1, 3)
+
+    def test_a_zero_first_pivot_swaps_once_and_flips_the_sign(self):
+        # m[0][1] = 0: index 2 moves to 1, so Pf = -m02 * m13 + m03 * m12 = -3 * 5 + 0 = -15
+        m = [[0, 0, 3, 0], [0, 0, 7, 5], [-3, -7, 0, 2], [0, -5, -2, 0]]
+        assert pfaffian(m) == -15 == oracles.reference_pfaffian(m)
+
+    def test_a_later_swap_reads_the_updated_lower_triangle(self):
+        # one perfect matching {05, 12, 34}; stage 2 moves row 5 up and reads m[5][4]
+        m = [[0] * 6 for _ in range(6)]
+        for (i, j), v in {(0, 5): -1, (1, 2): -1, (3, 4): 2}.items():
+            m[i][j], m[j][i] = v, -v
+        assert pfaffian(m) == 2 == oracles.reference_pfaffian(m)
+
+    def test_a_row_that_vanishes_after_the_first_stage(self):
+        # rank 2: after stage 0 every 4 x 4 Pfaffian is zero, so row 2 has no pivot
+        b = [[1, 0], [0, 1], [2, 3], [-1, 4], [5, -2], [3, 3]]
+        m = congruence(b, J2)
+        assert any(m[2]) and any(m[4])
+        assert pfaffian(m) == 0 == oracles.reference_pfaffian(m)
+        b8 = b + [[1, 7], [-4, 2]]  # and with pivot -7: B (-7 J) B^T
+        m8 = congruence(b8, congruence([[1, 2], [3, -1]], J2))
+        assert pfaffian(m8) == 0 == oracles.reference_pfaffian(m8)
+
+    @settings(max_examples=60)
+    @given(integer_skew_matrices())
+    def test_integer_and_sparse_matrices_match_the_fraction_expansion(self, m):
+        assert pfaffian(m) == oracles.reference_pfaffian(m)
+
+    @settings(max_examples=40)
+    @given(seeds, st.sampled_from([2, 4, 6, 8]), st.data())
+    def test_congruence_scales_by_the_determinant(self, seed, size, data):
+        # Pf(B A B^T) = det(B) Pf(A) for every integer B
+        a = [[int(v) for v in row] for row in random_skew_matrix(size, seed)]
+        b = data.draw(
+            st.lists(
+                st.lists(st.integers(-4, 4), min_size=size, max_size=size),
+                min_size=size,
+                max_size=size,
+            )
+        )
+        assert pfaffian(congruence(b, a)) == det_exact(b) * pfaffian(a)
+
+    def test_leaves_the_callers_matrix_unmodified(self):
+        m = [[0, 0, 3, 0], [0, 0, 7, 5], [-3, -7, 0, 2], [0, -5, -2, 0]]
+        fractions = random_skew_matrix(8, 3)
+        copies = [row[:] for row in m], [row[:] for row in fractions]
+        pfaffian(m), pfaffian(fractions)
+        assert (m, fractions) == copies
+
+    def test_denominator_budget_fires_before_the_power(self):
+        # 28 distinct ~1,000-digit denominators: 64 entries over their lcm pass 2^22 bits
+        dens = iter(10**999 + 2 * k + 1 for k in range(28))
+        m = [[Fraction(0)] * 8 for _ in range(8)]
+        for i in range(8):
+            for j in range(i + 1, 8):
+                m[i][j] = Fraction(1, next(dens))
+                m[j][i] = -m[i][j]
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="common denominator"):
+            pfaffian(m)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestHyperdet222:

@@ -6,6 +6,9 @@ that defines it.  Two ways of reaching it from elsewhere are refused:
 another schurdet module (for example ``AlgebraElement._from_ints`` outside
 ``perm_algebra``).
 
+Scalars enter through one intake: only ``rational`` calls ``common_denominator``;
+every other module goes through ``rational.integer_values``.
+
 The package's public surface is pinned too: ``schurdet.__all__`` is sorted,
 unique, and lists exactly the public names ``__init__`` imports.
 """
@@ -79,6 +82,38 @@ def test_the_check_catches_private_reaches(source, expected):
 )
 def test_the_check_allows_own_names_dunders_and_other_packages(source):
     assert private_reaches(source) == []
+
+
+def common_denominator_uses(source: str) -> list[int]:
+    """Lines that import common_denominator or call it, by bare name or as an attribute."""
+    name = "common_denominator"
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+        or (
+            isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "rational.py"),
+    ids=lambda p: p.name,
+)
+def test_only_rational_calls_common_denominator(path):
+    assert common_denominator_uses(path.read_text()) == []
+
+
+def test_the_intake_check_catches_imports_and_both_call_spellings():
+    source = (
+        "from . import rational\nfrom .rational import common_denominator as cd\n"
+        "common_denominator([])\nrational.common_denominator([], 8)\ninteger_values([])\n"
+    )
+    assert common_denominator_uses(source) == [2, 3, 4]
+    assert common_denominator_uses((PACKAGE / "rational.py").read_text()) != []
 
 
 def test_all_lists_exactly_the_imported_public_names():

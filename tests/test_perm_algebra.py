@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,15 @@ class TestCanonicalForm:
             assert zero.is_zero
             assert (zero.den, dict(zero.nums)) == (1, {})
             assert zero == AlgebraElement(3)
+
+    def test_denominators_past_the_budget_are_refused_at_once(self):
+        # 120 coprime-ish 991-digit denominators: their lcm would pass 390,000 bits
+        group = all_permutations(5)
+        coefficients = {g: Fraction(1, 10**990 + 2 * k + 1) for k, g in enumerate(group)}
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="common denominator"):
+            AlgebraElement(5, coefficients)
+        assert time.perf_counter() - started < 1.0
 
     def test_cached_projector_cannot_be_edited(self):
         z, _ = isotypic_projector(P(2, 1))
