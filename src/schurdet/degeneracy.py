@@ -16,17 +16,16 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidWitnessError, SizeGuardError
-from .linalg import MAX_DET_SIZE, Matrix, rank_exact
+from .linalg import MAX_DET_SIZE, rank_exact
 from .partitions import Partition, SetPartition, all_set_partitions, critical_set
 from .perm_algebra import positive_element
+from .rational import integer_values
 from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
-    Vector,
     annihilates,
     contract_first,
     evaluate,
-    make_vector,
     project_isotypic,
     random_tensor,
     random_vector,
@@ -41,12 +40,14 @@ MAX_SWEEP_DIM = 3
 
 @dataclass(frozen=True)
 class KernelWitness:
-    """Candidate kernel point: one nonzero vector per slot."""
+    """Candidate kernel point: one nonzero vector per slot, kept as the intake's integer
+    numerators over its least denominator (an integer vector as it is).  That scales
+    the vector by a positive factor, which scales its slices: `kernel_failure` agrees."""
 
-    vectors: tuple[Vector, ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, vectors: Iterable[Sequence]):
-        vecs = tuple(make_vector(v) for v in vectors)
+        vecs = tuple(tuple(integer_values(v)[0]) for v in vectors)
         if not vecs:
             raise InvalidWitnessError("witness needs at least one vector")
         dim = len(vecs[0])
@@ -106,7 +107,7 @@ def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartit
     return [pi for pi in candidates if not annihilates(positive_element(pi), tensor)]
 
 
-def slot_system_matrix(mu1: int) -> Matrix:
+def slot_system_matrix(mu1: int) -> list[list[int]]:
     """The (mu1+1) x (mu1+1) matrix with zero diagonal and ones elsewhere.
 
     Appears as the coefficient system tying together the single-substitution
@@ -115,10 +116,7 @@ def slot_system_matrix(mu1: int) -> Matrix:
     if not 1 <= mu1 <= MAX_SLOT_SYSTEM:
         raise SizeGuardError(f"slot system supports 1 <= mu1 <= {MAX_SLOT_SYSTEM}")
     size = mu1 + 1
-    return [
-        [Fraction(0) if i == j else Fraction(1) for j in range(size)]
-        for i in range(size)
-    ]
+    return [[int(i != j) for j in range(size)] for i in range(size)]
 
 
 def slot_system_eigencheck(mu1: int) -> bool:
@@ -140,12 +138,11 @@ def slot_system_eigencheck(mu1: int) -> bool:
 def substitution_values(tensor: Tensor, x: Sequence, y: Sequence) -> list[Fraction]:
     """The p evaluations with y in one slot and x in all others, slot 1 first:
     value k is L_k(y, x, ..., x), L_1 = A and L_(k+1) = L_k paired with x in slot 1."""
-    xs, ys = make_vector(x), make_vector(y)
     out, chain = [], tensor
     for rest in reversed(range(tensor.order)):
-        out.append(evaluate(chain, [ys] + [xs] * rest))
+        out.append(evaluate(chain, [y] + [x] * rest))
         if rest:
-            chain = contract_first(chain, xs)
+            chain = contract_first(chain, x)
     return out
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .degeneracy import KernelWitness, kernel_failure
 from .errors import InternalConsistencyError, SizeGuardError
-from .linalg import MAX_DET_SIZE, Matrix
+from .linalg import MAX_DET_SIZE
 from .rational import integer_values
 from .rng import SplitMix64
 from .tensor_space import Tensor
@@ -26,8 +26,8 @@ from .tensor_space import Tensor
 MAX_PFAFFIAN = 8
 
 
-def random_skew_matrix(size: int, seed: int) -> Matrix:
-    """Seeded skew-symmetric matrix, entries in [-9, 9] above the diagonal.
+def random_skew_matrix(size: int, seed: int) -> list[list[int]]:
+    """Seeded skew-symmetric matrix of ints, drawn in [-9, 9] above the diagonal by rows.
 
     A size det_exact would refuse is refused before any entry is drawn.
     """
@@ -36,12 +36,11 @@ def random_skew_matrix(size: int, seed: int) -> Matrix:
     if size > MAX_DET_SIZE:
         raise SizeGuardError(f"skew matrices are drawn to size {MAX_DET_SIZE}, got {size}")
     values = iter(SplitMix64(seed).next_ints(-9, 9, size * (size - 1) // 2))
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            value = Fraction(next(values))
-            rows[i][j] = value
-            rows[j][i] = -value
+            rows[i][j] = next(values)
+            rows[j][i] = -rows[i][j]
     return rows
 
 

@@ -11,8 +11,6 @@ from .rational import MAX_DENOMINATOR_BITS, integer_values
 MAX_DET_SIZE = 65
 MAX_DET_BITS = 1024  # bound on the sum over the rows of the largest entry's bit length
 
-Matrix = list[list[Fraction]]
-
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the least positive integer that clears it, and their product.

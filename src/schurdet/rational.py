@@ -1,5 +1,7 @@
-"""Exact rational scalars: every scalar the package hands out is a Fraction; inside, a
-`Tensor` and the kernels hold integer numerators over one denominator from `integer_values`."""
+"""Exact rational scalars.  `integer_values` is the one intake: tensor entries, vectors, matrix
+rows and algebra coefficients, each checked as by `as_fraction`, are kept as integer numerators
+over one least denominator.  Computed values (entries, slices, evaluations, determinants,
+Pfaffians, invariants) are Fractions; seeded draws, the slot system and witnesses are ints."""
 
 import re
 from fractions import Fraction

@@ -32,16 +32,10 @@ from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
 from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
-from .rational import as_fraction, integer_values
+from .rational import MAX_DENOMINATOR_BITS, as_fraction, integer_values
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
-
-Vector = tuple[Fraction, ...]
-
-
-def make_vector(values: Iterable) -> Vector:
-    return tuple(as_fraction(v) for v in values)
 
 
 def _dense_size(order: int, dim: int) -> int:
@@ -171,18 +165,20 @@ class Tensor:
 
 
 def rank_one(vectors: Sequence[Sequence]) -> Tensor:
-    """Outer product x^1 (x) ... (x) x^p of the given vectors."""
+    """Outer product x^1 (x) ... (x) x^p of the given vectors, each through the intake.
+    The factors' denominators, whose bit lengths bound their product's, are refused
+    past the entry count's share of MAX_DENOMINATOR_BITS before any product is formed."""
     if not vectors:
         raise ValueError("need at least one vector")
     dim = len(vectors[0])
-    _dense_size(len(vectors), dim)
-    vecs = [make_vector(v) for v in vectors]
-    if any(len(v) != dim for v in vecs):
+    size = _dense_size(len(vectors), dim)
+    if any(len(v) != dim for v in vectors):
         raise ValueError("all factors must share one dimension")
-    entries = [Fraction(1)]
-    for vec in vecs:
-        entries = [a * b for a in entries for b in vec]
-    return Tensor(len(vecs), dim, entries)
+    nums, dens = zip(*map(integer_values, vectors))
+    if sum(map(int.bit_length, dens)) * size > MAX_DENOMINATOR_BITS:
+        raise SizeGuardError(f"rank-one denominators pass {MAX_DENOMINATOR_BITS // size} bits")
+    entries = [prod(factors) for factors in itertools.product(*nums)]
+    return Tensor._from_ints(len(vectors), dim, entries, prod(dens))
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +327,7 @@ def evaluate(tensor: Tensor, vectors: Sequence[Sequence]) -> Fraction:
     return value
 
 
-def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> Vector:
+def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> tuple[Fraction, ...]:
     """Partial evaluation leaving slot `slot` (1-based) free.
 
     vectors[slot - 1] is ignored and may be None.  Slots before the free one go
@@ -380,15 +376,15 @@ def random_tensor(order: int, dim: int, seed: int) -> Tensor:
     return Tensor._from_ints(order, dim, SplitMix64(seed).next_ints(-9, 9, size), 1)
 
 
-def random_vector(dim: int, seed: int, nonzero: bool = False) -> Vector:
-    """Seeded vector with integer entries in [-9, 9]; optionally rejected until nonzero.
+def random_vector(dim: int, seed: int, nonzero: bool = False) -> tuple[int, ...]:
+    """Seeded vector of the ints drawn in [-9, 9]; optionally rejected until nonzero.
 
     A vector is an order-1 tensor, so dim is bounded as a tensor's size is.
     """
     _tensor_size(1, dim)
     rng = SplitMix64(seed)
     for _ in range(64):
-        vec = tuple(map(Fraction, rng.next_ints(-9, 9, dim)))
+        vec = tuple(rng.next_ints(-9, 9, dim))
         if not nonzero or any(vec):
             return vec
     raise InternalConsistencyError("could not draw a nonzero vector")

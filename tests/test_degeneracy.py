@@ -18,6 +18,7 @@ from schurdet import (
     all_set_partitions,
     critical_equation_failures,
     critical_set,
+    degeneracy_crosscheck_222,
     degeneracy_sweep,
     det_exact,
     evaluate,
@@ -31,7 +32,7 @@ from schurdet import (
     slot_system_matrix,
     substitution_values,
 )
-from schurdet import degeneracy
+from schurdet import degeneracy, perm_algebra, rational, tensor_space
 
 from oracles import reference_algebra_action, reference_evaluate, reference_slot_slice
 from test_tensor_space import fraction_tensors, fractions
@@ -71,6 +72,11 @@ class TestKernelWitness:
         assert w.order == 3 and w.dim == 2
         assert w.vectors == ((Fraction(1), Fraction(2)),) * 3
 
+    def test_vectors_are_kept_as_numerators_over_their_denominator(self):
+        w = KernelWitness([(Fraction(1, 2), 1), ("2/3", Fraction(-4, 9)), (3, 0)])
+        assert w.vectors == ((1, 2), (6, -4), (3, 0))
+        assert all(type(v) is int for vec in w.vectors for v in vec)
+
     def test_membership_on_a_rank_one_tensor(self):
         t = rank_one([E1, E1, E1])
         assert kernel_failure(t, KernelWitness([E2, E2, E2])) is None
@@ -84,7 +90,9 @@ class TestKernelWitness:
         t = data.draw(sweep_tensors)
         vector = st.lists(fractions, min_size=t.dim, max_size=t.dim).filter(any)
         vectors = [data.draw(vector) for _ in range(t.order)]
-        assert kernel_failure(t, KernelWitness(vectors)) == first_failure(t, vectors)
+        witness = KernelWitness(vectors)
+        assert all(type(v) is int for vec in witness.vectors for v in vec)
+        assert kernel_failure(t, witness) == first_failure(t, vectors)
 
     @pytest.mark.parametrize(
         "order, slot", [(p, k) for p in range(1, 6) for k in range(1, p + 1)]
@@ -268,6 +276,35 @@ class TestSubstitutionValues:
         p = t.order
         expected = [reference_evaluate(t, [x] * k + [y] + [x] * (p - 1 - k)) for k in range(p)]
         assert substitution_values(t, x, y) == expected
+
+
+class TestOneScalarPath:
+    """Seeded tensors and vectors enter as ints, so no scalar is coerced one at a
+    time: a sweep trial and the crosscheck call `as_fraction` zero times."""
+
+    @pytest.fixture
+    def coercions(self, monkeypatch):
+        calls = []
+        original = rational.as_fraction
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        for module in (rational, tensor_space, perm_algebra):
+            monkeypatch.setattr(module, "as_fraction", counted)
+        return calls
+
+    def test_a_sweep_over_every_shape_coerces_nothing(self, coercions):
+        for lam in all_partitions(5):
+            degeneracy_sweep(lam, 3, 1, 1)
+        assert coercions == []
+
+    def test_the_crosscheck_on_the_null_pattern_coerces_nothing(self, coercions):
+        null = Tensor.from_map(3, 2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1})
+        verdict, witness = degeneracy_crosscheck_222(null)
+        assert verdict == "consistent" and witness is not None
+        assert coercions == []
 
 
 class TestDegeneracySweep:

@@ -157,7 +157,7 @@ class TestPfaffian:
     def test_denominators_are_cleared_to_the_right_power(self):
         # Pf(c A) = c^(size/2) Pf(A), here with c = 1/6 and mixed denominators
         m = random_skew_matrix(8, 12)
-        scaled = [[v / 6 for v in row] for row in m]
+        scaled = [[Fraction(v, 6) for v in row] for row in m]
         assert pfaffian(scaled) == pfaffian(m) / 6**4 == oracles.reference_pfaffian(scaled)
         halves = [[0, "1/2", 0, 0], ["-1/2", 0, 0, 0], [0, 0, 0, "2/3"], [0, 0, "-2/3", 0]]
         assert pfaffian(halves) == Fraction(1, 3)

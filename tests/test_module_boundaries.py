@@ -9,6 +9,9 @@ another schurdet module (for example ``AlgebraElement._from_ints`` outside
 Scalars enter through one intake: only ``rational`` calls ``common_denominator``;
 every other module goes through ``rational.integer_values``.
 
+Every name a module imports is used in it (``__init__`` re-exports, so it is
+exempt).
+
 The package's public surface is pinned too: ``schurdet.__all__`` is sorted,
 unique, and lists exactly the public names ``__init__`` imports.
 """
@@ -114,6 +117,38 @@ def test_the_intake_check_catches_imports_and_both_call_spellings():
     )
     assert common_denominator_uses(source) == [2, 3, 4]
     assert common_denominator_uses((PACKAGE / "rational.py").read_text()) != []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the source imports and never reads; `from __future__` imports are directives."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_import_check_catches_unused_names_and_reads_attributes_and_annotations():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+        "from fractions import Fraction\nfrom typing import Iterable, Sequence\n"
+        "from .tensor_space import Vector, make_vector\n"
+        "def f(v: Sequence) -> Fraction:\n    return regex.compile(v)\n"
+    )
+    assert unused_imports(source) == ["Iterable", "Vector", "make_vector", "os"]
 
 
 def test_all_lists_exactly_the_imported_public_names():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurdet import SplitMix64, derived_seed
+from schurdet import SplitMix64, derived_seed, random_skew_matrix, random_vector
 
 from oracles import ReferenceSplitMix64
 
@@ -78,3 +78,22 @@ def test_full_range_bound_is_the_raw_output():
     stream = SplitMix64(7)
     draws = [stream.next_ints(0, (1 << 64) - 1, 1)[0] for _ in range(3)]
     assert draws == [derived_seed(7, k) for k in range(3)]
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 6))
+def test_seeded_vectors_and_skew_matrices_are_the_drawn_ints(seed, size):
+    reference = ReferenceSplitMix64(seed)
+    vector = random_vector(size, seed)
+    assert vector == tuple(reference.draw(-9, 9) for _ in range(size))
+    assert all(type(v) is int for v in vector)
+    reference = ReferenceSplitMix64(seed)
+    upper = iter([reference.draw(-9, 9) for _ in range(size * (size - 1) // 2)])
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = next(upper)
+            rows[j][i] = -rows[i][j]
+    matrix = random_skew_matrix(size, seed)
+    assert matrix == rows
+    assert all(type(v) is int for row in matrix for v in row)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,20 @@ class TestTensorBasics:
         assert t.entry((0, 1, 0)) == 20
         with pytest.raises(ValueError):
             rank_one([(1, 2), (1, 2, 3)])
+
+    def test_rank_one_is_kept_in_lowest_terms(self):
+        t = rank_one([(Fraction(1, 2), Fraction(1, 2)), (2, 4)])
+        assert t == Tensor(2, 2, [1, 2, 1, 2]) and t.den == 1
+
+    def test_rank_one_refuses_a_large_denominator_product_before_multiplying(self):
+        # each factor passes the intake's budget alone; their product over 3^5
+        # entries does not, and the 243 products would take seconds
+        d = 2 ** (2**20) + 1
+        vector = (Fraction(1, d), Fraction(2, d), Fraction(4, d))
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="rank-one denominator"):
+            rank_one([vector] * 5)
+        assert time.perf_counter() - started < 0.5
 
 
 class TestSlotAction:
