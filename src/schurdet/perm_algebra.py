@@ -277,14 +277,22 @@ def _young_subgroup(ground_size: int, blocks: tuple) -> tuple[tuple[int, ...], .
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _positive_fields(ground_size: int, blocks: tuple) -> dict:
+    """A positive element's fields: a shared read-only support, young_sum (1, blocks) preset."""
+    nums = MappingProxyType(dict.fromkeys(_young_subgroup(ground_size, blocks), 1))
+    return {"degree": ground_size, "den": 1, "nums": nums, "young_sum": (1, blocks)}
+
+
 def positive_element(pi: SetPartition) -> AlgebraElement:
     """Sum of all permutations whose cycle partition refines pi.
 
     Those are exactly the permutations moving each block of pi within itself,
     so the support is the product of the per-block symmetric groups.
     """
-    support = _young_subgroup(pi.ground_size, pi.blocks)
-    return AlgebraElement._from_ints(pi.ground_size, dict.fromkeys(support, 1), 1)
+    element = object.__new__(AlgebraElement)
+    vars(element).update(_positive_fields(pi.ground_size, pi.blocks))
+    return element
 
 
 def _row_major_tableau(lam: Partition) -> tuple[SetPartition, SetPartition]:

@@ -11,10 +11,10 @@ is (sigma . A)_{i_1 ... i_p} = A_{i_{sigma(1)} ... i_{sigma(p)}}, which makes
 A Tensor stores integer numerators over one positive denominator in lowest
 terms, and the kernels here work on those integers; scalars are Fractions at
 the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
-One coefficient over a whole Young subgroup acts by orbit sums, from an orbit
-table cached by the subgroup's blocks; any other element by its cached integer
-matrix on each weight space, which `isotypic_rank` also reduces.  One integer
-loop contracts a slot, slot 1 or the last.
+One coefficient over a whole Young subgroup acts by orbit sums, the differences
+of running sums at the orbits' ends in a layout cached by the subgroup's blocks;
+any other element by its cached integer matrix on each weight space, which
+`isotypic_rank` also reduces.  One integer loop contracts a slot, slot 1 or the last.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, SizeGuardError
@@ -61,6 +61,12 @@ def _tensor_size(order: int, dim: int) -> int:
     if order < 1:
         raise ValueError("order must be positive")
     return _dense_size(order, dim)
+
+
+def _refuse_denominators(what: str, dens: Iterable[int], size: int) -> None:
+    """Refuse denominators > 1 whose summed bit lengths times size pass MAX_DENOMINATOR_BITS."""
+    if sum(d.bit_length() for d in dens if d > 1) * size > MAX_DENOMINATOR_BITS:
+        raise SizeGuardError(f"{what} denominators pass {MAX_DENOMINATOR_BITS // size} bits")
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,7 @@ class Tensor:
     def __add__(self, other: Tensor) -> Tensor:
         if self.order != other.order or self.dim != other.dim:
             raise ValueError("tensors live in different spaces")
+        _refuse_denominators("summed", {self.den, other.den}, len(self.nums))  # lcm(d, d) = d
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         nums = [a * x + b * y for x, y in zip(self.nums, other.nums)]
@@ -139,6 +146,7 @@ class Tensor:
 
     def scale(self, scalar) -> Tensor:
         scalar = as_fraction(scalar)
+        _refuse_denominators("scaled", (scalar.denominator, self.den), len(self.nums))
         nums = [scalar.numerator * v for v in self.nums]
         return Tensor._from_ints(self.order, self.dim, nums, scalar.denominator * self.den)
 
@@ -165,9 +173,8 @@ class Tensor:
 
 
 def rank_one(vectors: Sequence[Sequence]) -> Tensor:
-    """Outer product x^1 (x) ... (x) x^p of the given vectors, each through the intake.
-    The factors' denominators, whose bit lengths bound their product's, are refused
-    past the entry count's share of MAX_DENOMINATOR_BITS before any product is formed."""
+    """Outer product x^1 (x) ... (x) x^p of the given vectors, each through the intake;
+    the factors' denominators are refused by size before any product is formed."""
     if not vectors:
         raise ValueError("need at least one vector")
     dim = len(vectors[0])
@@ -175,8 +182,7 @@ def rank_one(vectors: Sequence[Sequence]) -> Tensor:
     if any(len(v) != dim for v in vectors):
         raise ValueError("all factors must share one dimension")
     nums, dens = zip(*map(integer_values, vectors))
-    if sum(map(int.bit_length, dens)) * size > MAX_DENOMINATOR_BITS:
-        raise SizeGuardError(f"rank-one denominators pass {MAX_DENOMINATOR_BITS // size} bits")
+    _refuse_denominators("rank-one", dens, size)
     entries = [prod(factors) for factors in itertools.product(*nums)]
     return Tensor._from_ints(len(vectors), dim, entries, prod(dens))
 
@@ -223,20 +229,28 @@ def _orbit_table(blocks: tuple, dim: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(rep), tuple(group_order // orbit_size[r] for r in rep)
 
 
-def _orbit_sums(element: AlgebraElement, tensor: Tensor) -> tuple | None:
-    """(coefficient, orbit table, orbit sums by representative) for one coefficient
-    over a whole Young subgroup S_B (a positive element, or the (p) projector);
-    None for any other element."""
+@lru_cache(maxsize=None)
+def _orbit_layout(blocks: tuple, dim: int) -> tuple:
+    """`_orbit_table` as (gather, ends, spread, stab): entries orbit by orbit, their running sums
+    at each orbit's end, and each index's sum from the orbit sums (differences of the ends)."""
+    rep, stab = _orbit_table(blocks, dim)
+    if len(rep) == 1:  # dim 1: one entry, which a one-index itemgetter would return bare
+        return tuple, tuple, tuple, stab
+    order = sorted(range(len(rep)), key=rep.__getitem__)
+    last = {rep[f]: k for k, f in enumerate(order)}  # orbits in order, each at its last entry
+    index = {r: k for k, r in enumerate(last)}
+    return itemgetter(*order), itemgetter(*last.values()), itemgetter(*map(index.get, rep)), stab
+
+
+def _young_layout(element: AlgebraElement, tensor: Tensor) -> tuple | None:
+    """(c, layout, running sums at the orbits' ends) for c times a whole Young subgroup, else None."""
     if element.degree != tensor.order:
         raise ValueError("element degree must equal the tensor order")
     young = element.young_sum
     if young is None:
         return None
-    table = _orbit_table(young[1], tensor.dim)
-    sums = [0] * len(tensor.nums)
-    for r, a in zip(table[0], tensor.nums):
-        sums[r] += a
-    return young[0], table, sums
+    layout = _orbit_layout(young[1], tensor.dim)
+    return young[0], layout, layout[1](list(itertools.accumulate(layout[0](tensor.nums))))
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +284,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     orbit of i).  Any other element multiplies each weight space's entries by
     its cached `_weight_blocks` matrix, one sum of products per entry.
     """
-    young = _orbit_sums(element, tensor)
+    young = _young_layout(element, tensor)
     entries = tensor.nums
     if young is None:
         out = [0] * len(entries)
@@ -279,8 +293,9 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
             for f, row in zip(indices, rows):
                 out[f] = sum(map(mul, row, column))
     else:
-        coeff, (rep, stab), sums = young
-        out = [coeff * s * sums[r] for r, s in zip(rep, stab)]
+        coeff, (_, _, spread, stab), ends = young
+        sums = list(map(sub, ends, (0,) + ends[:-1]))
+        out = [coeff * s * v for s, v in zip(stab, spread(sums))]
     return Tensor._from_ints(tensor.order, tensor.dim, out, element.den * tensor.den)
 
 
@@ -288,7 +303,7 @@ def annihilates(element: AlgebraElement, tensor: Tensor) -> bool:
     """Whether algebra_action(element, tensor) is zero, for one coefficient over a
     whole Young subgroup S_B (a positive element), else ValueError.  Stabiliser
     orders are positive, so that is whether every S_B-orbit sum is zero."""
-    young = _orbit_sums(element, tensor)
+    young = _young_layout(element, tensor)
     if young is None:
         raise ValueError("annihilates takes one coefficient over a whole Young subgroup")
     return not any(young[2])

@@ -505,6 +505,13 @@ class TestPositiveElement:
         assert pos.support_size == 6
         assert all(c == 1 for _, c in pos.terms)
 
+    def test_preset_young_sum_is_the_detected_one(self):
+        # the young_sum a positive element carries from birth is what detection finds
+        for p in range(1, 7):
+            for pi in all_set_partitions(p):
+                pos = positive_element(pi)
+                assert pos.young_sum == (1, perm_algebra.young_blocks(frozenset(pos.nums)))
+
     def test_support_is_shared_but_each_call_builds_its_element(self):
         pi = SetPartition([[1, 3], [2, 4, 5]])
         first, second = positive_element(pi), positive_element(pi)

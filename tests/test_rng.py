@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurdet import SplitMix64, derived_seed, random_skew_matrix, random_vector
+from schurdet import SplitMix64, derived_seed, random_skew_matrix, random_tensor, random_vector
 
 from oracles import ReferenceSplitMix64
 
@@ -44,6 +44,8 @@ def test_a_far_derived_seed_is_one_jump():
 @example(1, 0, 2**63 + 1, 30)
 @example(5, -9, 19, 0)
 @example(5, 0, 2**64, 3)
+@example(3, -9, 19, 243)  # one random_tensor(5, 3, s) batch
+@example(11, 0, 2**63 + 1, 4096)  # MAX_DENSE_SIZE, with about half of the steps rejected
 def test_batched_draws_follow_the_specification(seed, lo, width, count):
     stream, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
     hi = lo + width - 1
@@ -52,6 +54,12 @@ def test_batched_draws_follow_the_specification(seed, lo, width, count):
     assert stream.next_u64() == reference.raw()
     assert stream.next_ints(lo, hi, 1) == [reference.draw(lo, hi)]
     assert stream.next_ints(0, width - 1, 1) == [reference.draw(0, width - 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15, -5])
+def test_a_seeded_tensor_is_its_243_draws(seed):
+    reference = ReferenceSplitMix64(seed)
+    assert random_tensor(5, 3, seed).nums == tuple(reference.draw(-9, 9) for _ in range(243))
 
 
 @pytest.mark.parametrize("lo, hi", [(0, -1), (5, 3), (0, 2**64), (-(2**70), 2**70)])

@@ -115,6 +115,25 @@ class TestTensorBasics:
         with pytest.raises(ValueError):
             a + Tensor(1, 2, [1, 2])
 
+    def test_scale_and_sum_refuse_a_large_denominator_before_multiplying(self):
+        t = random_tensor(5, 3, 1)
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="scaled denominators"):
+            t.scale(Fraction(1, 3 ** (2**16)))
+        assert time.perf_counter() - started < 0.5
+        # each within the budget alone (243 entries of 15,850 and 16,255 bits); their
+        # sum's denominator, the product, is not
+        a, b = t.scale(Fraction(1, 3**10_000)), t.scale(Fraction(1, 5**7_000))
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="summed denominators"):
+            a + b
+        with pytest.raises(SizeGuardError, match="scaled denominators"):
+            a.scale(Fraction(1, 5**7_000))
+        assert time.perf_counter() - started < 0.5
+        # one shared denominator does not grow, and integers add no bits
+        assert a + a == t.scale(Fraction(2, 3**10_000)) and a - a == Tensor.zero(5, 3)
+        assert a.scale(3) == t.scale(Fraction(1, 3**9_999))
+
     def test_json_round_trip_reduces_fractions(self):
         t = Tensor(2, 2, [Fraction(2, 4), 3, Fraction(-6, 3), 0])
         obj = t.to_json_obj()
@@ -448,6 +467,19 @@ class TestYoungSubgroupSums:
 
 class TestAnnihilates:
     """The orbit-sum zero test against the Fraction loop's zero test."""
+
+    @pytest.mark.parametrize("order, dim", [(1, 1), (1, 2), (1, 3), (3, 1), (5, 1)])
+    def test_order_one_and_dimension_one(self, order, dim):
+        # at dim 1 the one entry is the one orbit; at order 1 every entry is its own
+        raw = Tensor(order, dim, [F(k - 1) / (k + 2) for k in range(dim**order)])
+        for t in (raw, Tensor.zero(order, dim)):
+            for pi in all_set_partitions(order):
+                for element in (positive_element(pi), positive_element(pi).scale(F(-3) / 2)):
+                    expected = reference_algebra_action(element, t)
+                    assert algebra_action(element, t) == expected
+                    assert annihilates(element, t) == expected.is_zero
+            expected = reference_algebra_action(isotypic_projector(P(order))[0], t)
+            assert project_isotypic(P(order), t) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())
