@@ -206,11 +206,10 @@ def degeneracy_sweep(
     trial_seeds = SplitMix64(seed)
     for _ in range(trials):
         trial_seed = trial_seeds.next_u64()
-        inputs = SplitMix64(trial_seed)
-        tensor = random_tensor(p, dim, inputs.next_u64())
-        projected = project_isotypic(lam, tensor)
-        x = random_vector(dim, inputs.next_u64(), nonzero=True)
-        y = random_vector(dim, inputs.next_u64())
+        tensor_seed, x_seed, y_seed = SplitMix64(trial_seed).next_ints(0, 2**64 - 1, 3)
+        projected = project_isotypic(lam, random_tensor(p, dim, tensor_seed))
+        x = random_vector(dim, x_seed, nonzero=True)
+        y = random_vector(dim, y_seed)
 
         for pi in critical_equation_failures(lam, projected):
             failures.append(

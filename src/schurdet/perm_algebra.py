@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .partitions import Partition, SetPartition, as_int_tuple, character
-from .rational import as_fraction, integer_values
+from .rational import as_fraction, integer_values, refuse_denominators
 
 MAX_GROUP_DEGREE = 8
 MAX_PROJECTOR_DEGREE = 6
@@ -175,6 +175,7 @@ class AlgebraElement:
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
+        refuse_denominators("summed", {self.den, other.den}, len(self.nums.keys() | other.nums.keys()))
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         nums = {k: a * v for k, v in self.nums.items()}
@@ -190,6 +191,7 @@ class AlgebraElement:
 
     def scale(self, scalar) -> AlgebraElement:
         scalar = as_fraction(scalar)
+        refuse_denominators("scaled", (scalar.denominator, self.den), len(self.nums))
         nums = {k: scalar.numerator * v for k, v in self.nums.items()}
         return AlgebraElement._from_ints(self.degree, nums, scalar.denominator * self.den)
 
@@ -213,10 +215,13 @@ def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     A left factor that is c times the sum of a Young subgroup H = S_B goes by
     coset sums: right's numerators are summed over each coset H tau, keyed by
     the block of each image, and each nonzero sum goes to its |H| members h * tau.
-    Any other left factor composes every pair sigma * tau.
+    Any other left factor composes every pair sigma * tau.  Denominators are
+    refused by size first, for at most min(|left| * |right|, p!) terms.
     """
     if left.degree != right.degree:
         raise ValueError("degree mismatch")
+    terms = min(len(left.nums) * len(right.nums), factorial(left.degree))
+    refuse_denominators("multiplied", (left.den, right.den), terms)
     # at degree 1 itemgetter(*tau) would return a point, not a tuple
     young = left.young_sum if left.degree > 1 else None
     acc: dict[tuple[int, ...], int] = {}

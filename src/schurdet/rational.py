@@ -1,7 +1,9 @@
 """Exact rational scalars.  `integer_values` is the one intake: tensor entries, vectors, matrix
 rows and algebra coefficients, each checked as by `as_fraction`, are kept as integer numerators
-over one least denominator.  Computed values (entries, slices, evaluations, determinants,
-Pfaffians, invariants) are Fractions; seeded draws, the slot system and witnesses are ints."""
+over one least denominator, and `refuse_denominators` is the one size check on a computed
+tensor's or algebra element's denominators.  Computed values (entries, slices, evaluations,
+determinants, Pfaffians, invariants) are Fractions; seeded draws, the slot system and
+witnesses are ints."""
 
 import re
 from fractions import Fraction
@@ -49,6 +51,13 @@ def common_denominator(values: Sequence, max_bits: int | None = None) -> tuple[l
         if max_bits is not None and den.bit_length() * len(values) > max_bits:
             raise SizeGuardError(f"common denominator passes {max_bits // len(values)} bits")
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def refuse_denominators(what: str, dens: Iterable[int], size: int) -> None:
+    """SizeGuardError when size values over the denominators' product would pass the budget:
+    the bit lengths of the denominators > 1, summed, times size pass MAX_DENOMINATOR_BITS."""
+    if sum(d.bit_length() for d in dens if d > 1) * size > MAX_DENOMINATOR_BITS:
+        raise SizeGuardError(f"{what} denominators pass {MAX_DENOMINATOR_BITS // size} bits")
 
 
 def integer_values(values: Iterable, max_bits: int = MAX_DENOMINATOR_BITS) -> tuple[list[int], int]:

@@ -13,8 +13,9 @@ terms, and the kernels here work on those integers; scalars are Fractions at
 the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
 One coefficient over a whole Young subgroup acts by orbit sums, the differences
 of running sums at the orbits' ends in a layout cached by the subgroup's blocks;
-any other element by its cached integer matrix on each weight space, which
-`isotypic_rank` also reduces.  One integer loop contracts a slot, slot 1 or the last.
+any other element by its cached integer matrix on each weight space.  Spaces whose
+digit counts agree up to order share one matrix, so `isotypic_rank` reduces one
+block per weight type.  One integer loop contracts a slot, slot 1 or the last.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
 from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
-from .rational import MAX_DENOMINATOR_BITS, as_fraction, integer_values
+from .rational import as_fraction, integer_values, refuse_denominators
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
@@ -61,12 +62,6 @@ def _tensor_size(order: int, dim: int) -> int:
     if order < 1:
         raise ValueError("order must be positive")
     return _dense_size(order, dim)
-
-
-def _refuse_denominators(what: str, dens: Iterable[int], size: int) -> None:
-    """Refuse denominators > 1 whose summed bit lengths times size pass MAX_DENOMINATOR_BITS."""
-    if sum(d.bit_length() for d in dens if d > 1) * size > MAX_DENOMINATOR_BITS:
-        raise SizeGuardError(f"{what} denominators pass {MAX_DENOMINATOR_BITS // size} bits")
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ class Tensor:
     def __add__(self, other: Tensor) -> Tensor:
         if self.order != other.order or self.dim != other.dim:
             raise ValueError("tensors live in different spaces")
-        _refuse_denominators("summed", {self.den, other.den}, len(self.nums))  # lcm(d, d) = d
+        refuse_denominators("summed", {self.den, other.den}, len(self.nums))  # lcm(d, d) = d
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         nums = [a * x + b * y for x, y in zip(self.nums, other.nums)]
@@ -146,7 +141,7 @@ class Tensor:
 
     def scale(self, scalar) -> Tensor:
         scalar = as_fraction(scalar)
-        _refuse_denominators("scaled", (scalar.denominator, self.den), len(self.nums))
+        refuse_denominators("scaled", (scalar.denominator, self.den), len(self.nums))
         nums = [scalar.numerator * v for v in self.nums]
         return Tensor._from_ints(self.order, self.dim, nums, scalar.denominator * self.den)
 
@@ -182,7 +177,7 @@ def rank_one(vectors: Sequence[Sequence]) -> Tensor:
     if any(len(v) != dim for v in vectors):
         raise ValueError("all factors must share one dimension")
     nums, dens = zip(*map(integer_values, vectors))
-    _refuse_denominators("rank-one", dens, size)
+    refuse_denominators("rank-one", dens, size)
     entries = [prod(factors) for factors in itertools.product(*nums)]
     return Tensor._from_ints(len(vectors), dim, entries, prod(dens))
 
@@ -255,25 +250,33 @@ def _young_layout(element: AlgebraElement, tensor: Tensor) -> tuple | None:
 
 @lru_cache(maxsize=None)
 def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
-    """An element's integer matrix on each weight space, as (indices, rows) pairs.
+    """An element's integer matrix on each weight type, as (rows, spaces) pairs.
 
-    A slot permutation keeps each flat index's digit multiset, so the matrix
-    splits into blocks, one per representative of the one-block `_orbit_table`
-    (S_p); row i holds what entry indices[i] takes from each index of its space.
-    All-zero blocks are kept; rows are tuples, shared by `algebra_action` and
-    `isotypic_rank`.
+    A slot permutation keeps each word's digit counts and commutes with relabelling
+    the digits, so spaces whose counts agree up to order (one type, the counts
+    sorted decreasing) share one block.  `rows` is that of the representative space,
+    whose counts do not increase with the digit: row i holds what its i-th word
+    takes from each of its words.  Each of `spaces` lists a space's flat indices as
+    the relabelled representative words, so row i belongs to spaces[s][i].  Rows
+    are tuples (all-zero blocks kept), shared by `algebra_action` and `isotypic_rank`.
     """
-    rep, _ = _orbit_table((tuple(range(1, degree + 1)),), dim)
-    spaces: dict[int, list[int]] = {}
-    for flat, r in enumerate(rep):
-        spaces.setdefault(r, []).append(flat)
-    local = {flat: i for indices in spaces.values() for i, flat in enumerate(indices)}
-    blocks = {r: [[0] * len(indices) for _ in indices] for r, indices in spaces.items()}
-    rows = [blocks[r][local[flat]] for flat, r in enumerate(rep)]
-    for images, coeff in terms:
-        for row, j in zip(rows, map(local.__getitem__, _perm_table(images, dim))):
+    flat = {w: f for f, w in enumerate(itertools.product(range(dim), repeat=degree))}
+    spaces: dict[tuple, list] = {}
+    for w in flat:
+        spaces.setdefault(tuple(sorted(w)), []).append(w)
+    types: dict[tuple, tuple] = {}
+    for word, members in spaces.items():  # by sorted word, so a type's representative comes first
+        common = Counter(word).most_common()  # ties by digit; representative digit k -> common[k][0]
+        reps, found = types.setdefault(tuple(c for _, c in common), (members, []))
+        found.append(tuple(flat[tuple(common[d][0] for d in w)] for w in reps))
+    local = {(0,) + w: i for reps, _ in types.values() for i, w in enumerate(reps)}
+    blocks = [[[0] * len(reps) for _ in reps] for reps, _ in types.values()]
+    rows = [row for block in blocks for row in block]  # every representative word's, in local's order
+    columns = list(zip(*local))  # 1-based digits; column 0 keeps zip going at degree 0
+    for images, coeff in terms:  # word w takes the word with w_j in slot k, images[k-1] = j
+        for row, j in zip(rows, map(local.__getitem__, zip(*map(columns.__getitem__, (0, *images))))):
             row[j] += coeff
-    return tuple((tuple(spaces[r]), tuple(map(tuple, block))) for r, block in blocks.items())
+    return tuple((tuple(map(tuple, b)), tuple(s)) for b, (_, s) in zip(blocks, types.values()))
 
 
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
@@ -288,10 +291,11 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     entries = tensor.nums
     if young is None:
         out = [0] * len(entries)
-        for indices, rows in _weight_blocks(element.term_set, element.degree, tensor.dim):
-            column = [entries[f] for f in indices]
-            for f, row in zip(indices, rows):
-                out[f] = sum(map(mul, row, column))
+        for rows, spaces in _weight_blocks(element.term_set, element.degree, tensor.dim):
+            for indices in spaces:
+                column = [entries[f] for f in indices]
+                for f, row in zip(indices, rows):
+                    out[f] = sum(map(mul, row, column))
     else:
         coeff, (_, _, spread, stab), ends = young
         sums = list(map(sub, ends, (0,) + ends[:-1]))
@@ -375,14 +379,14 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
 def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space.
 
-    The sum of `rank_exact` over the projector's cached `_weight_blocks`, the
-    blocks `project_isotypic` applies, so it is bounded as a projection is:
-    dim**p checked first, then the projector's degree.
+    `rank_exact` of each of the projector's cached `_weight_blocks`, the blocks
+    `project_isotypic` applies, times the number of weight spaces of its type, so
+    it is bounded as a projection is: dim**p checked first, then the projector's degree.
     """
     _dense_size(lam.weight, dim)
     projector, _ = isotypic_projector(lam)
     blocks = _weight_blocks(projector.term_set, lam.weight, dim)
-    return sum(rank_exact(rows) for _, rows in blocks)
+    return sum(rank_exact(rows) * len(spaces) for rows, spaces in blocks)
 
 
 def random_tensor(order: int, dim: int, seed: int) -> Tensor:

@@ -373,6 +373,35 @@ class TestCanonicalForm:
             AlgebraElement(5, coefficients)
         assert time.perf_counter() - started < 1.0
 
+    def test_scale_sum_and_product_refuse_a_large_denominator_at_once(self):
+        # 6 terms over 6: scaled by 3**-(2**20) they would pass the budget 2.4 times
+        z = isotypic_projector(P(3))[0]
+        huge, third, fifth = (Fraction(1, b ** (2**e)) for b, e in ((3, 20), (3, 18), (5, 18)))
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="scaled denominators"):
+            z.scale(huge)
+        assert time.perf_counter() - started < 0.5
+        # each within the budget alone (6 terms of 415,491 and 608,683 bits); their
+        # sum's denominator, 6 * 15**(2**18), and their product's are not
+        a, b = z.scale(third), z.scale(fifth)
+        for operation, what in ((a.__add__, "summed"), (a.__mul__, "multiplied")):
+            started = time.perf_counter()
+            with pytest.raises(SizeGuardError, match=f"{what} denominators"):
+                operation(b)
+            assert time.perf_counter() - started < 0.5
+
+    def test_products_and_sums_within_the_budget_still_work(self):
+        z = isotypic_projector(P(3))[0]
+        a = z.scale(Fraction(1, 3 ** (2**18)))
+        assert a + a == z.scale(Fraction(2, 3 ** (2**18))) and (a - a).is_zero
+        assert a.scale(3) == z.scale(Fraction(1, 3 ** (2**18 - 1)))
+        assert a * AlgebraElement.unit(3) == a == AlgebraElement.unit(3) * a
+        assert multiply(a, positive_element(SetPartition([[1, 2, 3]]))) == a.scale(6)
+        # a left factor that is not one coefficient over a Young subgroup: w * w = w
+        w, third = isotypic_projector(P(2, 1))[0], Fraction(1, 3 ** (2**18))
+        assert w.young_sum is None
+        assert w.scale(third) * w == w.scale(third)
+
     def test_cached_projector_cannot_be_edited(self):
         z, _ = isotypic_projector(P(2, 1))
         before = (z.den, dict(z.nums))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -305,6 +306,18 @@ class TestAlgebraAction:
         a = young_symmetrizer(P(2, 1))
         b = young_symmetrizer(P(3))
         assert algebra_action(a * b, t) == algebra_action(a, algebra_action(b, t))
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_non_central_elements_on_shared_blocks(self, order):
+        # from order 4 on, at n = 3, weight types have tied counts, (2,1,1) and (2,2,1);
+        # every space of a type takes its block through the relabelled words
+        t = random_tensor(order, 3, 40 + order).scale(F(1) / 7)
+        elements = [young_symmetrizer(lam) for lam in all_partitions(order)]
+        if order == 4:
+            coeffs = random.Random(27).sample(range(-60, 61), 24)
+            elements.append(AlgebraElement(4, dict(zip(all_permutations(4), coeffs))))
+        for element in elements:
+            assert algebra_action(element, t) == reference_algebra_action(element, t)
 
 
 class TestDenominatorClearing:
@@ -718,9 +731,9 @@ class TestIsotypicRank:
         assert isotypic_rank(P(1, 1, 1), 3) == 1
         assert isotypic_rank(P(1, 1, 1), 2) == 0
 
-    @pytest.mark.parametrize("order, dim", [(5, 2), (5, 3), (6, 2)])
+    @pytest.mark.parametrize("order, dim", [(5, 2), (5, 3), (6, 2), (6, 3)])
     def test_benchmark_sizes_against_the_two_route_count(self, order, dim):
-        # the sizes the algebra benchmark ranks, plus order 6 at dim 2
+        # the sizes the algebra benchmark ranks, plus order 6 at dims 2 and 3
         ranks = {lam: isotypic_rank(lam, dim) for lam in all_partitions(order)}
         for lam, rank in ranks.items():
             assert rank == hook_length_count(lam) * ssyt_count(lam, dim)
@@ -731,6 +744,26 @@ class TestIsotypicRank:
         for dim in (1, 2, 3):
             for lam in all_partitions(order):
                 assert isotypic_rank(lam, dim) == reference_isotypic_rank(lam, dim)
+
+    @pytest.mark.parametrize("order, dim", [(4, 3), (5, 3), (6, 2), (2, 40)])
+    def test_one_block_per_weight_type(self, order, dim):
+        words = list(itertools.product(range(dim), repeat=order))
+        lam = P(order - 1, 1)
+        blocks = tensor_space._weight_blocks(isotypic_projector(lam)[0].term_set, order, dim)
+        flats = [f for _, spaces in blocks for indices in spaces for f in indices]
+        assert sorted(flats) == list(range(dim**order))  # the spaces partition the indices
+        for rows, spaces in blocks:
+            assert len(rows) == len(spaces[0])
+            counts = [words[spaces[0][0]].count(d) for d in range(dim)]
+            assert counts == sorted(counts, reverse=True)  # the representative comes first
+            for indices in spaces:
+                assert len({tuple(sorted(words[f])) for f in indices}) == 1
+                # one relabelling of the digits takes the representative's words to these
+                pairs = {pair for f, g in zip(spaces[0], indices) for pair in zip(words[f], words[g])}
+                relabel = dict(pairs)
+                assert len(pairs) == len(relabel) == len(set(relabel.values()))
+        parts = [mu for mu in all_partitions(order) if mu.rows <= dim]
+        assert len(blocks) == len(parts)
 
     def test_shared_blocks_stay_intact(self):
         # isotypic_rank and project_isotypic read one cached table of blocks;
