@@ -3,8 +3,7 @@
 Subcommands:
 
   critical-set PARTITION      print the critical set of a partition
-  verify SUITE                run one verification suite (t2, main, lemma1,
-                              pfaffian, hyperdet222)
+  verify SUITE                run one verification suite (see verify --help)
   hyperdet --input PATH       evaluate the 2x2x2 invariant (or, with
                               --pfaffian / --det, a matrix invariant)
   report                      run every suite and emit one document
@@ -54,7 +53,6 @@ from .tensor_space import (
     rank_one,
 )
 
-DEFAULT_TRIALS = {"t2": 5, "main": 20, "pfaffian": 20, "hyperdet222": 50}
 MAX_TRIALS = 1000  # twenty times the largest default
 PFAFFIAN_SIZES = (2, 4, 6)
 # the largest accepted document: 65 x 65 entries, each at most a sign, 4,300
@@ -84,9 +82,6 @@ class SuiteConfig:
         if not 1 <= self.max_mu <= MAX_EIGENCHECK:
             raise UsageError(f"--max-mu must be in 1..{MAX_EIGENCHECK}")
 
-    def trials_for(self, suite: str) -> int:
-        return self.trials if self.trials is not None else DEFAULT_TRIALS[suite]
-
     def to_json_obj(self) -> dict:
         return asdict(self)
 
@@ -110,10 +105,10 @@ def _sorted_partitions(items) -> list[Partition]:
 
 
 # --- suite runners ---------------------------------------------------------
-# Each returns a JSON-ready dict: {"checks": [{"name", "pass", ...}], "verdict"}.
+# run(config, trials) returns a JSON-ready dict: {"checks": [{"name", "pass", ...}], "verdict"}.
 
 
-def run_lemma1(config: SuiteConfig) -> dict:
+def run_lemma1(config: SuiteConfig, trials: Optional[int]) -> dict:
     checks = []
     for mu1 in range(1, config.max_mu + 1):
         det = det_exact(slot_system_matrix(mu1))
@@ -129,8 +124,7 @@ def run_lemma1(config: SuiteConfig) -> dict:
     return _finish(checks)
 
 
-def run_t2(config: SuiteConfig) -> dict:
-    trials = config.trials_for("t2")
+def run_t2(config: SuiteConfig, trials: int) -> dict:
     checks = []
     seeds = SplitMix64(config.seed)
     for lam in all_partitions(config.p):
@@ -150,15 +144,13 @@ def run_t2(config: SuiteConfig) -> dict:
     return _finish(checks)
 
 
-def run_main(config: SuiteConfig) -> dict:
-    trials = config.trials_for("main")
+def run_main(config: SuiteConfig, trials: int) -> dict:
     shapes = [
         lam
         for lam in all_partitions(config.p)
         if not is_exceptional(lam) and lam.rows <= config.n
     ]
     checks = []
-    notes = []
     seeds = SplitMix64(config.seed)
     for lam in shapes:
         report = degeneracy_sweep(lam, config.n, trials, seeds.next_u64())
@@ -170,19 +162,16 @@ def run_main(config: SuiteConfig) -> dict:
                 "failures": [f.to_json_obj() for f in report.failures],
             }
         )
+    result = _finish(checks)
     if not shapes:
-        notes.append(
+        result["notes"] = [
             f"order {config.p}, dim {config.n}: every shape that meets the "
             "dimension bound is exceptional; nothing to sweep"
-        )
-    result = _finish(checks)
-    if notes:
-        result["notes"] = notes
+        ]
     return result
 
 
-def run_pfaffian(config: SuiteConfig) -> dict:
-    trials = config.trials_for("pfaffian")
+def run_pfaffian(config: SuiteConfig, trials: int) -> dict:
     checks = []
     seeds = SplitMix64(config.seed)
     for size in PFAFFIAN_SIZES:
@@ -195,8 +184,7 @@ def run_pfaffian(config: SuiteConfig) -> dict:
     return _finish(checks)
 
 
-def run_hyperdet222(config: SuiteConfig) -> dict:
-    trials = config.trials_for("hyperdet222")
+def run_hyperdet222(config: SuiteConfig, trials: int) -> dict:
     checks = []
 
     diagonal = Tensor.from_map(3, 2, {(0, 0, 0): 1, (1, 1, 1): 1})
@@ -242,13 +230,20 @@ def _finish(checks: list[dict]) -> dict:
     return {"checks": checks, "verdict": verdict}
 
 
+# one record per suite, in report's order: its runner and its default trials
 SUITES = {
-    "lemma1": run_lemma1,
-    "t2": run_t2,
-    "main": run_main,
-    "pfaffian": run_pfaffian,
-    "hyperdet222": run_hyperdet222,
+    "lemma1": (run_lemma1, None),  # draws nothing
+    "t2": (run_t2, 5),
+    "main": (run_main, 20),
+    "pfaffian": (run_pfaffian, 20),
+    "hyperdet222": (run_hyperdet222, 50),
 }
+
+
+def run_suite(name: str, config: SuiteConfig) -> dict:
+    """The suite's result, over --trials when given, else over its default."""
+    run, trials = SUITES[name]
+    return run(config, trials if config.trials is None else config.trials)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -273,7 +268,7 @@ def cmd_critical_set(args) -> int:
 
 def cmd_verify(args) -> int:
     config = SuiteConfig(args.p, args.n, args.trials, args.seed, args.max_mu)
-    result = SUITES[args.suite](config)
+    result = run_suite(args.suite, config)
     doc = {"suite": args.suite, "config": config.to_json_obj(), **result}
     if args.output == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -342,9 +337,9 @@ def cmd_report(args) -> int:
     suites = {}
     timings = {}
     notes = []
-    for name, run in SUITES.items():
+    for name in SUITES:
         start = time.perf_counter()
-        result = run(config)
+        result = run_suite(name, config)
         timings[name] = round(time.perf_counter() - start, 6)
         notes.extend(result.pop("notes", []))
         suites[name] = result
@@ -390,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"tensor order (2..{MAX_SWEEP_ORDER})")
             p.add_argument("--n", type=int, default=3,
                            help=f"vector space dimension (1..{MAX_SWEEP_DIM})")
-            p.add_argument("--trials", type=int, default=None, help="seeded trials per check")
+            defaults = ", ".join(f"{name} {t}" for name, (_, t) in SUITES.items() if t)
+            p.add_argument("--trials", type=int, default=None,
+                           help=f"seeded trials per check (1..{MAX_TRIALS}; default {defaults})")
             p.add_argument("--seed", type=int, default=1, help="master seed")
             p.add_argument("--max-mu", type=int, default=10, dest="max_mu",
                            help=f"largest slot-system size parameter (1..{MAX_EIGENCHECK})")

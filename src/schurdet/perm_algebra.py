@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .partitions import Partition, SetPartition, as_int_tuple, character
-from .rational import as_fraction, integer_values, refuse_denominators
+from .rational import integer_values, refuse_denominators
 
 MAX_GROUP_DEGREE = 8
 MAX_PROJECTOR_DEGREE = 6
@@ -190,10 +190,10 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, scalar) -> AlgebraElement:
-        scalar = as_fraction(scalar)
-        refuse_denominators("scaled", (scalar.denominator, self.den), len(self.nums))
-        nums = {k: scalar.numerator * v for k, v in self.nums.items()}
-        return AlgebraElement._from_ints(self.degree, nums, scalar.denominator * self.den)
+        (num,), den = integer_values([scalar])
+        refuse_denominators("scaled", (den, self.den), len(self.nums))
+        nums = {k: num * v for k, v in self.nums.items()}
+        return AlgebraElement._from_ints(self.degree, nums, den * self.den)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

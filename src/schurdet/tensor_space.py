@@ -33,7 +33,7 @@ from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
 from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
-from .rational import as_fraction, integer_values, refuse_denominators
+from .rational import integer_values, refuse_denominators
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
@@ -140,10 +140,10 @@ class Tensor:
         return self + other.scale(-1)
 
     def scale(self, scalar) -> Tensor:
-        scalar = as_fraction(scalar)
-        refuse_denominators("scaled", (scalar.denominator, self.den), len(self.nums))
-        nums = [scalar.numerator * v for v in self.nums]
-        return Tensor._from_ints(self.order, self.dim, nums, scalar.denominator * self.den)
+        (num,), den = integer_values([scalar])
+        refuse_denominators("scaled", (den, self.den), len(self.nums))
+        nums = [num * v for v in self.nums]
+        return Tensor._from_ints(self.order, self.dim, nums, den * self.den)
 
     def to_json_obj(self) -> dict:
         return {
@@ -248,7 +248,7 @@ def _young_layout(element: AlgebraElement, tensor: Tensor) -> tuple | None:
     return young[0], layout, layout[1](list(itertools.accumulate(layout[0](tensor.nums))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # keyed by coefficients, so scaled copies must not pile up
 def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
     """An element's integer matrix on each weight type, as (rows, spaces) pairs.
 
@@ -285,8 +285,10 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     One coefficient c over a whole Young subgroup S_B takes one pass of orbit
     sums, (c * sum of h . A over S_B)_i = c * |Stab(i)| * (sum of A over the
     orbit of i).  Any other element multiplies each weight space's entries by
-    its cached `_weight_blocks` matrix, one sum of products per entry.
+    its cached `_weight_blocks` matrix, one sum of products per entry.  The
+    denominators' product is refused by size first.
     """
+    refuse_denominators("acted", (element.den, tensor.den), len(tensor.nums))
     young = _young_layout(element, tensor)
     entries = tensor.nums
     if young is None:
@@ -320,6 +322,8 @@ def _contract(nums: Sequence[int], den: int, dim: int, vector: Sequence, last: b
         raise ValueError("vector length must equal the tensor dimension")
     weights, weight_den = integer_values(vector)
     block = len(nums) // dim
+    if weight_den > 1:  # an integer vector, as every seeded draw is, adds no denominator
+        refuse_denominators("contracted", (den, weight_den), block)
     out = [0] * block
     for d, weight in enumerate(weights):
         if weight:

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -406,6 +408,62 @@ class TestReport:
         assert out.strip().endswith("verdict: pass")
 
 
+class TestSuiteTable:
+    """verify, report and --help read each suite's runner and default trials from SUITES."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every suite, and one added last, run by a recorder of (suite, trials)."""
+        calls = []
+
+        def recorder(name):
+            def run(config, trials):
+                calls.append((name, trials))
+                return {"checks": [{"name": "only", "pass": True}], "verdict": "pass"}
+
+            return run
+
+        for name, (_, trials) in list(cli.SUITES.items()):
+            monkeypatch.setitem(cli.SUITES, name, (recorder(name), trials))
+        monkeypatch.setitem(cli.SUITES, "extra", (recorder("extra"), 7))
+        return calls
+
+    def test_an_added_suite_is_a_choice_of_verify(self, capsys, calls):
+        code, out, _ = run(capsys, "verify", "extra")
+        assert code == 0 and out == "[pass] extra only\nverdict: pass\n"
+        assert run(capsys, "verify", "extra", "--trials", "3")[0] == 0
+        assert calls == [("extra", 7), ("extra", 3)]
+        _, _, err = run(capsys, "verify", "nosuch")  # the choices are listed sorted
+        assert "'extra', 'hyperdet222', 'lemma1', 'main', 'pfaffian', 't2'" in err
+
+    def test_report_runs_an_added_suite_last_over_its_own_default(self, capsys, calls):
+        code, out, _ = run(capsys, "report")
+        assert code == 0
+        assert calls == [
+            ("lemma1", None), ("t2", 5), ("main", 20), ("pfaffian", 20), ("hyperdet222", 50),
+            ("extra", 7),
+        ]
+        assert out.splitlines()[:6] == [f"suite {name}: pass" for name, _ in calls]
+        calls.clear()
+        code, out, _ = run(capsys, "report", "--trials", "2", "--output", "json")
+        assert code == 0 and {trials for _, trials in calls} == {2}
+        doc = json.loads(out)
+        assert doc["suites"]["extra"]["verdict"] == "pass" and "extra" in doc["timings"]
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_an_added_suite_shows_in_the_trials_help(self, capsys, calls, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "default t2 5, main 20, pfaffian 20, hyperdet222 50, extra 7)" in " ".join(out.split())
+        assert calls == []
+
+
+    def test_the_readme_lists_each_suite_with_its_default_trials(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` *\| (\w+) +\|", readme, re.MULTILINE)
+        assert rows == [(name, str(t or "none")) for name, (_, t) in cli.SUITES.items()]
+
+
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
@@ -414,9 +472,12 @@ class TestTopLevel:
         monkeypatch.setattr(cli, "MAX_SWEEP_ORDER", 7)
         monkeypatch.setattr(cli, "MAX_SWEEP_DIM", 6)
         monkeypatch.setattr(cli, "MAX_EIGENCHECK", 20)
+        monkeypatch.setattr(cli, "MAX_TRIALS", 300)
+        monkeypatch.setitem(cli.SUITES, "t2", (cli.run_t2, 9))
         code, out, _ = run(capsys, "report", "--help")
         assert code == 0
         assert "(2..7)" in out and "(1..6)" in out and "(1..20)" in out
+        assert "(1..300; default t2 9, main 20, pfaffian 20, hyperdet222 50)" in " ".join(out.split())
 
     @pytest.mark.parametrize(
         "argv",
@@ -478,8 +539,68 @@ fuzz = settings(
 )
 
 
+def not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# each flag's accepted range; --seed takes any integer
+RANGES = {
+    "--p": (2, cli.MAX_SWEEP_ORDER),
+    "--n": (1, cli.MAX_SWEEP_DIM),
+    "--trials": (1, cli.MAX_TRIALS),
+    "--max-mu": (1, cli.MAX_EIGENCHECK),
+}
+# texts that are not integers, none starting with "-" (which would read as a flag)
+non_integers = st.sampled_from(["abc", "1.5", "", "0x10", "1e3", "2/3", "+-1"]) | st.text(
+    max_size=6
+).filter(lambda t: not t.startswith("-") and not_an_int(t))
+
+
+@st.composite
+def bad_config_argv(draw):
+    """verify SUITE or report with valid flags and one bad value: a non-integer, a bound
+    minus or plus one, 10**20, an unknown --output or an unknown suite."""
+    command = draw(st.sampled_from(["verify", "report"]))
+    faults = ["--p", "--n", "--trials", "--max-mu", "--seed", "--output"]
+    fault = draw(st.sampled_from(faults + ["suite"] * (command == "verify")))
+    suite = draw(st.sampled_from(sorted(cli.SUITES)))
+    if fault == "suite":
+        suite = draw(non_integers.filter(lambda t: t not in cli.SUITES) | st.just("T2"))
+    elif fault == "--output":
+        bad = draw(st.sampled_from(["xml", "JSON", ""]))
+    elif fault == "--seed":
+        bad = draw(non_integers)
+    else:
+        lo, hi = RANGES[fault]
+        bad = draw(st.sampled_from([str(lo - 1), str(hi + 1), str(10**20)]) | non_integers)
+    flags = []
+    for flag in draw(st.permutations(faults)):
+        if flag == fault:
+            flags += [flag, bad]
+        elif flag in RANGES and draw(st.booleans()):
+            flags += [flag, str(draw(st.integers(*RANGES[flag])))]
+    return [command] + [suite] * (command == "verify") + flags
+
+
 class TestNeverRaises:
-    """Any input exits 0, 1 or 2 without a traceback (report and verify not fuzzed)."""
+    """Any input exits 0, 1 or 2 without a traceback; a bad verify or report flag exits 2
+    before any suite runs."""
+
+    @settings(fuzz, max_examples=80)
+    @given(argv=bad_config_argv())
+    def test_bad_config_flags(self, capsys, monkeypatch, argv):
+        def refuse(config, trials):
+            pytest.fail(f"a suite ran for {argv}")
+
+        for name, (_, trials) in list(cli.SUITES.items()):
+            monkeypatch.setitem(cli.SUITES, name, (refuse, trials))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @fuzz
     @given(data=st.data())

@@ -32,7 +32,7 @@ from schurdet import (
     slot_system_matrix,
     substitution_values,
 )
-from schurdet import degeneracy, perm_algebra, rational, tensor_space
+from schurdet import degeneracy, rational
 
 from oracles import reference_algebra_action, reference_evaluate, reference_slot_slice
 from test_tensor_space import fraction_tensors, fractions
@@ -280,7 +280,8 @@ class TestSubstitutionValues:
 
 class TestOneScalarPath:
     """Seeded tensors and vectors enter as ints, so no scalar is coerced one at a
-    time: a sweep trial and the crosscheck call `as_fraction` zero times."""
+    time: a sweep trial and the crosscheck call `as_fraction` zero times.  Only `rational`
+    calls it (pinned in test_module_boundaries.py), so counting its calls there counts all."""
 
     @pytest.fixture
     def coercions(self, monkeypatch):
@@ -291,8 +292,7 @@ class TestOneScalarPath:
             calls.append(value)
             return original(value)
 
-        for module in (rational, tensor_space, perm_algebra):
-            monkeypatch.setattr(module, "as_fraction", counted)
+        monkeypatch.setattr(rational, "as_fraction", counted)
         return calls
 
     def test_a_sweep_over_every_shape_coerces_nothing(self, coercions):

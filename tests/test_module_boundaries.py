@@ -6,8 +6,9 @@ that defines it.  Two ways of reaching it from elsewhere are refused:
 another schurdet module (for example ``AlgebraElement._from_ints`` outside
 ``perm_algebra``).
 
-Scalars enter through one intake: only ``rational`` calls ``common_denominator``;
-every other module goes through ``rational.integer_values``.
+Scalars enter through one intake: only ``rational`` calls ``common_denominator`` or
+``as_fraction`` (``__init__`` re-exports the latter); every other module goes through
+``rational.integer_values``.
 
 Every name a module imports is used in it (``__init__`` re-exports, so it is
 exempt).
@@ -87,13 +88,13 @@ def test_the_check_allows_own_names_dunders_and_other_packages(source):
     assert private_reaches(source) == []
 
 
-def common_denominator_uses(source: str) -> list[int]:
-    """Lines that import common_denominator or call it, by bare name or as an attribute."""
-    name = "common_denominator"
+def intake_uses(source: str, name: str = "common_denominator", imports: bool = True) -> list[int]:
+    """Lines that import the name (when imports is true) or call it, by bare name or as an
+    attribute."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+        if (imports and isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
         or (
             isinstance(node, ast.Call)
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
@@ -107,7 +108,17 @@ def common_denominator_uses(source: str) -> list[int]:
     ids=lambda p: p.name,
 )
 def test_only_rational_calls_common_denominator(path):
-    assert common_denominator_uses(path.read_text()) == []
+    assert intake_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "rational.py"),
+    ids=lambda p: p.name,
+)
+def test_only_rational_calls_as_fraction(path):
+    # __init__ imports it to re-export it, and must not call it
+    assert intake_uses(path.read_text(), "as_fraction", path.name != "__init__.py") == []
 
 
 def test_the_intake_check_catches_imports_and_both_call_spellings():
@@ -115,8 +126,10 @@ def test_the_intake_check_catches_imports_and_both_call_spellings():
         "from . import rational\nfrom .rational import common_denominator as cd\n"
         "common_denominator([])\nrational.common_denominator([], 8)\ninteger_values([])\n"
     )
-    assert common_denominator_uses(source) == [2, 3, 4]
-    assert common_denominator_uses((PACKAGE / "rational.py").read_text()) != []
+    assert intake_uses(source) == [2, 3, 4]
+    assert intake_uses(source, imports=False) == [3, 4]
+    assert intake_uses((PACKAGE / "rational.py").read_text()) != []
+    assert intake_uses((PACKAGE / "rational.py").read_text(), "as_fraction") != []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -319,6 +319,15 @@ class TestAlgebraAction:
         for element in elements:
             assert algebra_action(element, t) == reference_algebra_action(element, t)
 
+    def test_the_block_cache_is_bounded(self):
+        # blocks are keyed by the coefficients, so each multiple of one element builds its own
+        tensor_space._weight_blocks.cache_clear()
+        z, t = young_symmetrizer(P(3, 2)), random_tensor(5, 3, 1)
+        for k in range(1, 501):
+            algebra_action(z.scale(k), t)
+        info = tensor_space._weight_blocks.cache_info()
+        assert info.misses == 500 and info.currsize <= 32
+
 
 class TestDenominatorClearing:
     """The integer kernel against plain Fraction loops, on non-integer entries."""
