@@ -80,9 +80,8 @@ def kernel_failure(
     chain, vectors = tensor, witness.vectors
     for slot in range(1, tensor.order + 1):
         covector = slot_slice(chain, (None,) + vectors[slot:], 1)
-        for component, value in enumerate(covector):
-            if value != 0:
-                return slot, component
+        if any(covector):
+            return slot, next(c for c, value in enumerate(covector) if value)
         if slot < tensor.order:
             chain = contract_first(chain, vectors[slot - 1])
     return None

@@ -1,9 +1,9 @@
 """Exact rational scalars.  `integer_values` is the one intake: tensor entries, vectors, matrix
 rows and algebra coefficients, each checked as by `as_fraction`, are kept as integer numerators
 over one least denominator, and `refuse_denominators` is the one size check on a computed
-tensor's or algebra element's denominators.  Computed values (entries, slices, evaluations,
-determinants, Pfaffians, invariants) are Fractions; seeded draws, the slot system and
-witnesses are ints."""
+tensor's or algebra element's denominators, `refuse_numerators` on a contraction's
+products.  Computed values (entries, slices, evaluations, determinants, Pfaffians,
+invariants) are Fractions; seeded draws, the slot system and witnesses are ints."""
 
 import re
 from fractions import Fraction
@@ -58,6 +58,13 @@ def refuse_denominators(what: str, dens: Iterable[int], size: int) -> None:
     the bit lengths of the denominators > 1, summed, times size pass MAX_DENOMINATOR_BITS."""
     if sum(d.bit_length() for d in dens if d > 1) * size > MAX_DENOMINATOR_BITS:
         raise SizeGuardError(f"{what} denominators pass {MAX_DENOMINATOR_BITS // size} bits")
+
+
+def refuse_numerators(what: str, bits: int, size: int) -> None:
+    """SizeGuardError when size products of one entry from each of some integer vectors could
+    pass the budget: bits, the bit lengths of the vectors' largest entries summed, times size."""
+    if bits * size > MAX_DENOMINATOR_BITS:
+        raise SizeGuardError(f"{what} numerators pass {MAX_DENOMINATOR_BITS // size} bits")
 
 
 def integer_values(values: Iterable, max_bits: int = MAX_DENOMINATOR_BITS) -> tuple[list[int], int]:

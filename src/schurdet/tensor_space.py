@@ -15,7 +15,8 @@ One coefficient over a whole Young subgroup acts by orbit sums, the differences
 of running sums at the orbits' ends in a layout cached by the subgroup's blocks;
 any other element by its cached integer matrix on each weight space.  Spaces whose
 digit counts agree up to order share one matrix, so `isotypic_rank` reduces one
-block per weight type.  One integer loop contracts a slot, slot 1 or the last.
+block per weight type; a projection skips the types its element kills.  One integer
+loop contracts slot 1, one pass over an outer product the slots after a free one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
 from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
-from .rational import integer_values, refuse_denominators
+from .rational import integer_values, refuse_denominators, refuse_numerators
 from .rng import SplitMix64
 
 MAX_DENSE_SIZE = 4096
@@ -294,7 +295,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     if young is None:
         out = [0] * len(entries)
         for rows, spaces in _weight_blocks(element.term_set, element.degree, tensor.dim):
-            for indices in spaces:
+            for indices in spaces if any(map(any, rows)) else ():  # a zero block leaves zeros
                 column = [entries[f] for f in indices]
                 for f, row in zip(indices, rows):
                     out[f] = sum(map(mul, row, column))
@@ -315,47 +316,72 @@ def annihilates(element: AlgebraElement, tensor: Tensor) -> bool:
     return not any(young[2])
 
 
-def _contract(nums: Sequence[int], den: int, dim: int, vector: Sequence, last: bool) -> tuple:
-    """Pair one slot of the entries nums / den with the vector, as (nums, den):
-    slot 1 sums runs of len(nums) / dim entries, the last slot strides of dim."""
+def _contract(nums: Sequence[int], den: int, dim: int, vector: Sequence) -> tuple:
+    """Pair slot 1 of the entries nums / den with the vector, as (nums, den): each
+    weight times its run of len(nums) / dim entries, refused by size first."""
     if len(vector) != dim:
         raise ValueError("vector length must equal the tensor dimension")
     weights, weight_den = integer_values(vector)
     block = len(nums) // dim
+    refuse_numerators("contracted", max(map(abs, weights)).bit_length(), block)
     if weight_den > 1:  # an integer vector, as every seeded draw is, adds no denominator
         refuse_denominators("contracted", (den, weight_den), block)
     out = [0] * block
-    for d, weight in enumerate(weights):
+    for d, weight in enumerate(weights if any(nums) else ()):  # a zero tensor pairs to zeros
         if weight:
-            part = nums[d::dim] if last else nums[d * block : (d + 1) * block]
-            out = [o + weight * e for o, e in zip(out, part)]
+            out = [o + weight * e for o, e in zip(out, nums[d * block : (d + 1) * block])]
     return out, den * weight_den
+
+
+def _contract_trailing(nums: Sequence[int], den: int, dim: int, vectors: Sequence) -> tuple:
+    """Pair the last len(vectors) slots of nums / den with the vectors (none: as they are), as
+    (nums, den): their outer product, refused by size before it is formed, against each run."""
+    if not vectors:
+        return nums, den
+    weights, dens, bits = [], [], 0
+    for vector in vectors:
+        if len(vector) != dim:
+            raise ValueError("vector length must equal the tensor dimension")
+        w, d = integer_values(vector)
+        weights.append(w)
+        bits += max(map(abs, w)).bit_length()
+        if d > 1:  # an integer vector, as every seeded draw is, adds no denominator
+            dens.append(d)
+    run = dim ** len(weights)
+    refuse_numerators("contracted", bits, run)
+    if dens:
+        refuse_denominators("contracted", (den, *dens), len(nums) // run)
+    if not any(nums):  # a zero tensor, such as a component that vanishes, pairs to zeros
+        return [0] * (len(nums) // run), 1
+    outer = weights[0]
+    for w in weights[1:]:
+        outer = [a * b for a in outer for b in w]
+    out = [sum(map(mul, nums[i : i + run], outer)) for i in range(0, len(nums), run)]
+    return out, den * prod(dens)
 
 
 def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
     """Pair slot 1 with the vector; scalar result once the last slot is used."""
-    out, den = _contract(tensor.nums, tensor.den, tensor.dim, vector, last=False)
+    out, den = _contract(tensor.nums, tensor.den, tensor.dim, vector)
     if tensor.order == 1:
         return Fraction(out[0], den)
     return Tensor._from_ints(tensor.order - 1, tensor.dim, out, den)
 
 
 def evaluate(tensor: Tensor, vectors: Sequence[Sequence]) -> Fraction:
-    """Full evaluation A(x^1, ..., x^p): contract_first once per slot, x^1 first."""
+    """Full evaluation A(x^1, ..., x^p): slots 2..p in one pass, then x^1 in another."""
     if len(vectors) != tensor.order:
         raise ValueError("need one vector per slot")
-    value = tensor
-    for vec in vectors:
-        value = contract_first(value, vec)
-    return value
+    nums, den = _contract_trailing(tensor.nums, tensor.den, tensor.dim, vectors[1:])
+    (value,), den = _contract_trailing(nums, den, tensor.dim, vectors[:1])
+    return Fraction(value, den)
 
 
 def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> tuple[Fraction, ...]:
     """Partial evaluation leaving slot `slot` (1-based) free.
 
     vectors[slot - 1] is ignored and may be None.  Slots before the free one go
-    through contract_first; slots after it are contracted where they lie, last
-    first.
+    through contract_first; slots after it are contracted in one pass.
     """
     if not 1 <= slot <= tensor.order:
         raise ValueError(f"slot must be in 1..{tensor.order}")
@@ -364,10 +390,8 @@ def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> tuple[Fraction, 
     current = tensor
     for vec in vectors[: slot - 1]:
         current = contract_first(current, vec)
-    entries, den = current.nums, current.den
-    for vec in reversed(vectors[slot:]):
-        entries, den = _contract(entries, den, tensor.dim, vec, last=True)
-    return tuple(Fraction(v, den) for v in entries)
+    entries, den = _contract_trailing(current.nums, current.den, tensor.dim, vectors[slot:])
+    return tuple(map(Fraction, entries)) if den == 1 else tuple(Fraction(v, den) for v in entries)
 
 
 def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:

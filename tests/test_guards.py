@@ -2,8 +2,10 @@
 refuses with SizeGuardError in under half a second, before any large integer is formed.
 
 Every denominator here is a power of 3 or 5 of hundreds of thousands of bits, each within
-the budget of `MAX_DENOMINATOR_BITS` alone; the rows combine them past it.  The command
-line turns the refusal into exit code 2 and one `error:` line.
+the budget of `MAX_DENOMINATOR_BITS` alone; the rows combine them past it.  The integer
+vector rows do the same with numerators: a contraction's products count the bit lengths
+of its vectors' largest entries, summed, once per entry.  The command line turns the
+refusal into exit code 2 and one `error:` line.
 """
 
 import json
@@ -25,6 +27,7 @@ from schurdet import (
     det_exact,
     evaluate,
     isotypic_projector,
+    kernel_failure,
     pfaffian,
     random_tensor,
     rank_one,
@@ -33,6 +36,8 @@ from schurdet import (
 from schurdet.cli import main
 from schurdet.tensor_space import contract_first
 
+from oracles import reference_contract_first, reference_evaluate, reference_slot_slice
+
 TINY = Fraction(1, 3 ** (2**19))  # 830,977 bits: five values fit the budget, six do not
 THIRD, FIFTH = Fraction(1, 3 ** (2**18)), Fraction(1, 5 ** (2**18))  # 415,491 and 608,683 bits
 T5 = random_tensor(5, 3, 1)  # 243 integer entries
@@ -40,6 +45,7 @@ Z3 = isotypic_projector(Partition([3]))[0]  # 6 terms over 6
 # 27 entries of 152,170 bits, and three terms of 830,979: each within the budget
 T3 = Tensor(3, 3, [Fraction(1, 5 ** (2**16))] + [0] * 26)
 Z21 = isotypic_projector(Partition([2, 1]))[0].scale(TINY)
+HUGE = (3 ** (2**19), 0, 1)  # an integer vector whose largest entry has 830,977 bits
 
 
 def hyperdet_input() -> int:
@@ -65,6 +71,11 @@ GUARDS = {
     "contract_first": lambda: contract_first(T5, (TINY, 0, 1)),
     "slot_slice": lambda: slot_slice(T5, [(TINY, 0, 1)] * 5, 1),
     "evaluate": lambda: evaluate(T5, [(TINY, 0, 1)] * 5),
+    "contract_first, integer vector": lambda: contract_first(T5, HUGE),
+    "slot_slice, integer vectors": lambda: slot_slice(T5, [HUGE] * 5, 1),
+    "slot_slice, zero tensor": lambda: slot_slice(Tensor.zero(5, 3), [HUGE] * 5, 1),
+    "evaluate, integer vectors": lambda: evaluate(T5, [HUGE] * 5),
+    "kernel_failure, integer witness": lambda: kernel_failure(T5, KernelWitness([HUGE] * 5)),
     "algebra_action": lambda: algebra_action(Z21, T3),
     "hyperdet --input": hyperdet_input,
 }
@@ -93,3 +104,8 @@ def test_each_part_alone_is_within_the_budget():
     assert algebra_action(Z3, T3).den == T3.den  # 27 entries of 152,173 bits
     vector = (Fraction(1, 3**30000), 0, 1)  # 47,549 bits, 81 entries
     assert contract_first(T5, vector).den == 3**30000
+    assert contract_first(T5, (3**30000, 0, 1)) == reference_contract_first(T5, (3**30000, 0, 1))
+    # four vectors of 7,925 bits: 31,700 bits per product of the 81-entry outer product
+    vectors = [(1, -1, 2)] + [(3**5000, 0, 1)] * 4
+    assert slot_slice(T5, vectors, 1) == reference_slot_slice(T5, vectors, 1)
+    assert evaluate(T5, vectors) == reference_evaluate(T5, vectors)
