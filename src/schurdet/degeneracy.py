@@ -74,6 +74,8 @@ def kernel_failure(
 
     Slots are 1-based, components 0-based coordinates of the free slot.  Slice k
     is L_k(., x^(k+1), ..., x^p), L_1 = A and L_(k+1) = L_k paired with x^k in slot 1.
+    A zero L_k has zero slices from k on; the first slice and contraction have run
+    every check a later one would.
     """
     if witness.order != tensor.order or witness.dim != tensor.dim:
         raise InvalidWitnessError("witness does not match the tensor space")
@@ -84,6 +86,8 @@ def kernel_failure(
             return slot, next(c for c, value in enumerate(covector) if value)
         if slot < tensor.order:
             chain = contract_first(chain, vectors[slot - 1])
+            if not any(chain.nums):
+                break
     return None
 
 
@@ -102,7 +106,10 @@ def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartit
     """
     if lam.weight != tensor.order:
         raise ValueError("partition weight must equal the tensor order")
-    candidates = _partitions_of_shapes(tensor.order, critical_set(lam))
+    shapes = critical_set(lam)
+    if not any(tensor.nums):  # a zero tensor satisfies every positive equation
+        return []
+    candidates = _partitions_of_shapes(tensor.order, shapes)
     return [pi for pi in candidates if not annihilates(positive_element(pi), tensor)]
 
 
@@ -136,12 +143,15 @@ def slot_system_eigencheck(mu1: int) -> bool:
 
 def substitution_values(tensor: Tensor, x: Sequence, y: Sequence) -> list[Fraction]:
     """The p evaluations with y in one slot and x in all others, slot 1 first:
-    value k is L_k(y, x, ..., x), L_1 = A and L_(k+1) = L_k paired with x in slot 1."""
+    value k is L_k(y, x, ..., x), L_1 = A and L_(k+1) = L_k paired with x in slot 1.
+    A zero L_k gives zeros from value k on, as in `kernel_failure`."""
     out, chain = [], tensor
     for rest in reversed(range(tensor.order)):
         out.append(evaluate(chain, [y] + [x] * rest))
         if rest:
             chain = contract_first(chain, x)
+            if not any(chain.nums):
+                return out + [Fraction(0)] * rest
     return out
 
 

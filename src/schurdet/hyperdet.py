@@ -7,8 +7,9 @@ through the pencil of first-index slices: with det(A0 + t A1) = b0 + b1 t +
 b2 t^2, the invariant is b1^2 - 4 b0 b2.  The all-ones-diagonal tensor gets
 value +1 under this normalization.
 
-All three kernels run on integers.  The kernel probe search prunes each y whose
-slot-3 slice is nonzero and confirms its witness through `kernel_failure`.
+All three kernels run on integers; the invariant takes one `Fraction` at the end.
+The probe search prunes each x with A(x, ., .) nonsingular and each y whose slot-3
+slice is nonzero, and confirms its witness through `kernel_failure`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
         raise ValueError("matrix must be square")
     nums, den = integer_values(v for row in matrix for v in row)
     m = [nums[i * size : (i + 1) * size] for i in range(size)]
-    if any(m[i][j] != -m[j][i] for i in range(size) for j in range(size)):
+    if any(m[i][j] != -m[j][i] for i in range(size) for j in range(i, size)):
         raise ValueError("matrix is not skew-symmetric")
     return Fraction(_integer_pfaffian(m), den ** (size // 2))
 
@@ -88,25 +89,30 @@ def _integer_pfaffian(m: list[list[int]]) -> int:
     return sign * q
 
 
-def schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (b0, b1, b2) of det(A0 + t A1) in t: minors of the numerators over den^2."""
+def _pencil(tensor: Tensor) -> tuple[int, int, int]:
+    """Coefficients (b0, b1, b2) of det(A0 + t A1) in t, as minors of the numerators."""
     if tensor.order != 3 or tensor.dim != 2:
         raise ValueError("expected an order-3 tensor of dimension 2")
     a000, a001, a010, a011, a100, a101, a110, a111 = tensor.nums
-    scale = tensor.den**2
     b0 = a000 * a011 - a001 * a010
     b1 = a000 * a111 + a100 * a011 - a001 * a110 - a101 * a010
     b2 = a100 * a111 - a101 * a110
-    return Fraction(b0, scale), Fraction(b1, scale), Fraction(b2, scale)
+    return b0, b1, b2
+
+
+def schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (b0, b1, b2) of det(A0 + t A1) in t: minors of the numerators over den^2."""
+    scale = tensor.den**2
+    return tuple(Fraction(b, scale) for b in _pencil(tensor))
 
 
 def hyperdet_222(tensor: Tensor) -> Fraction:
-    """Degree-4 degeneracy invariant of a 2 x 2 x 2 tensor.
+    """Degree-4 degeneracy invariant of a 2 x 2 x 2 tensor: b1^2 - 4 b0 b2 over den^4.
 
     Vanishes exactly when some triple of nonzero vectors kills all slices.
     """
-    b0, b1, b2 = schlafli_coefficients(tensor)
-    return b1 * b1 - 4 * b0 * b2
+    b0, b1, b2 = _pencil(tensor)
+    return Fraction(b1 * b1 - 4 * b0 * b2, tensor.den**4)
 
 
 _PROBE_VECTORS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2))
@@ -121,14 +127,17 @@ def degeneracy_crosscheck_222(tensor: Tensor) -> tuple[str, Optional[KernelWitne
     is still "consistent": the guaranteed witness may need an extension field.
 
     The search reads the numerators (the condition is homogeneous), z fastest.
-    With M = A(x, ., .) the slot-3 slice y M has no z, so y M != 0 skips all six
-    z; each other z is tested on the slices M z and (y A(i, ., .) z)_i.  The first
+    With M = A(x, ., .), a nonsingular M has no nonzero y with y M = 0, so it skips
+    all 36 (y, z); the slot-3 slice y M has no z, so y M != 0 skips all six z; each
+    other z is tested on the slices M z and (y A(i, ., .) z)_i.  The first
     triple that passes is confirmed by `kernel_failure`, the slot-slice route.
     """
     value = hyperdet_222(tensor)  # checks the format
     a = tensor.nums  # a[4i + 2j + k]
     for x in _PROBE_VECTORS:
         m00, m01, m10, m11 = (x[0] * u + x[1] * v for u, v in zip(a[:4], a[4:]))
+        if m00 * m11 != m01 * m10:
+            continue
         for y0, y1 in _PROBE_VECTORS:
             if y0 * m00 + y1 * m10 or y0 * m01 + y1 * m11:
                 continue

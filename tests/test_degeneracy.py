@@ -34,7 +34,12 @@ from schurdet import (
 )
 from schurdet import degeneracy, rational
 
-from oracles import reference_algebra_action, reference_evaluate, reference_slot_slice
+from oracles import (
+    reference_algebra_action,
+    reference_contract_first,
+    reference_evaluate,
+    reference_slot_slice,
+)
 from test_tensor_space import fraction_tensors, fractions
 
 # orders 1-5 and dims 1-3: every (p, n) a sweep runs, and order 1
@@ -48,6 +53,12 @@ def first_failure(tensor, vectors):
             if value != 0:
                 return slot, component
     return None
+
+
+def reference_substitution_values(tensor, x, y):
+    """The reference evaluations with y in slot k and x in every other slot, k = 1..p."""
+    p = tensor.order
+    return [reference_evaluate(tensor, [x] * k + [y] + [x] * (p - 1 - k)) for k in range(p)]
 
 
 def P(*parts):
@@ -273,9 +284,84 @@ class TestSubstitutionValues:
     def test_every_order_matches_the_reference(self, data):
         t = data.draw(sweep_tensors)
         x, y = (data.draw(st.lists(fractions, min_size=t.dim, max_size=t.dim)) for _ in "xy")
-        p = t.order
-        expected = [reference_evaluate(t, [x] * k + [y] + [x] * (p - 1 - k)) for k in range(p)]
-        assert substitution_values(t, x, y) == expected
+        assert substitution_values(t, x, y) == reference_substitution_values(t, x, y)
+
+
+def front_zero(tensor):
+    """e_0 (x) tensor: one order up, with every entry off first index 0 zero."""
+    zeros = [0] * (len(tensor.nums) * (tensor.dim - 1))
+    return Tensor(tensor.order + 1, tensor.dim, list(tensor.entries) + zeros)
+
+
+ZERO_SPACES = [(p, n) for p in range(1, 6) for n in range(1, 4)]
+
+
+class TestZeroChain:
+    """Once the slot-1 chain L_k is zero, `kernel_failure` and `substitution_values`
+    stop: the answers still equal the slice-by-slice reference route."""
+
+    @pytest.mark.parametrize("order, dim", ZERO_SPACES)
+    def test_zero_tensors_match_the_reference(self, order, dim):
+        t = Tensor.zero(order, dim)
+        x = random_vector(dim, order, nonzero=True)
+        y = random_vector(dim, order + dim, nonzero=True)
+        assert kernel_failure(t, KernelWitness([x] * order)) is None
+        assert first_failure(t, [x] * order) is None
+        assert substitution_values(t, x, y) == reference_substitution_values(t, x, y) == [0] * order
+
+    @pytest.mark.parametrize("order, dim", [(p, n) for p, n in ZERO_SPACES if p > 1 and n > 1])
+    def test_a_chain_that_vanishes_after_slot_one(self, order, dim):
+        # A = e_0 (x) B with x_0 = 0: L_2 = x_0 B = 0, though A is not
+        t = front_zero(random_tensor(order - 1, dim, 60 + order))
+        x = (0,) + random_vector(dim - 1, 70 + dim, nonzero=True)
+        y = random_vector(dim, 80 + order)
+        assert not t.is_zero and reference_contract_first(t, x).is_zero
+        values = substitution_values(t, x, y)
+        assert values == reference_substitution_values(t, x, y)
+        assert values[1:] == [0] * (order - 1)
+        witness = [x] + [random_vector(dim, 90 + k, nonzero=True) for k in range(order - 1)]
+        assert kernel_failure(t, KernelWitness(witness)) == first_failure(t, witness)
+        # with x^2_0 = 0 too, A = e_0 (x) e_0 (x) C has a zero first slice as well: no failure
+        if order > 2:
+            t = front_zero(front_zero(random_tensor(order - 2, dim, 60 + order)))
+            witness[1] = x
+            assert kernel_failure(t, KernelWitness(witness)) is None
+            assert first_failure(t, witness) is None
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_a_zero_tensor_makes_no_annihilates_pass(self, order, monkeypatch):
+        calls = []
+        original = degeneracy.annihilates
+
+        def counted(element, tensor):
+            calls.append(element)
+            return original(element, tensor)
+
+        monkeypatch.setattr(degeneracy, "annihilates", counted)
+        for lam in all_partitions(order):
+            assert critical_equation_failures(lam, Tensor.zero(order, 3)) == []
+        assert calls == []
+        # on a nonzero tensor the same shapes do run them (order 1 has no critical shape)
+        for lam in all_partitions(order):
+            critical_equation_failures(lam, random_tensor(order, 3, 1))
+        assert bool(calls) == (order > 1)
+
+    @pytest.mark.parametrize(
+        "tensor", [Tensor.zero(3, 2), random_tensor(3, 2, 5)], ids=["zero", "seeded"]
+    )
+    def test_errors_on_zero_tensors_are_those_on_any_tensor(self, tensor):
+        with pytest.raises(InvalidWitnessError):
+            kernel_failure(tensor, KernelWitness([(1, 0, 0)] * 3))
+        with pytest.raises(ValueError):
+            substitution_values(tensor, (1, 2, 3), (1, 0))
+        with pytest.raises(ValueError):
+            substitution_values(tensor, (1, 2), (1, 0, 0))
+        with pytest.raises(TypeError):
+            substitution_values(tensor, (1, 2), (0.5, 1))
+        with pytest.raises(TypeError):
+            substitution_values(tensor, (True, 2), (1, 1))
+        with pytest.raises(ValueError):
+            critical_equation_failures(P(2, 1, 1), tensor)
 
 
 class TestOneScalarPath:

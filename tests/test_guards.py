@@ -32,6 +32,7 @@ from schurdet import (
     random_tensor,
     rank_one,
     slot_slice,
+    substitution_values,
 )
 from schurdet.cli import main
 from schurdet.tensor_space import contract_first
@@ -46,6 +47,7 @@ Z3 = isotypic_projector(Partition([3]))[0]  # 6 terms over 6
 T3 = Tensor(3, 3, [Fraction(1, 5 ** (2**16))] + [0] * 26)
 Z21 = isotypic_projector(Partition([2, 1]))[0].scale(TINY)
 HUGE = (3 ** (2**19), 0, 1)  # an integer vector whose largest entry has 830,977 bits
+Z5 = Tensor.zero(5, 3)  # the first slice or value refuses before a zero chain can end the walk
 
 
 def hyperdet_input() -> int:
@@ -76,6 +78,8 @@ GUARDS = {
     "slot_slice, zero tensor": lambda: slot_slice(Tensor.zero(5, 3), [HUGE] * 5, 1),
     "evaluate, integer vectors": lambda: evaluate(T5, [HUGE] * 5),
     "kernel_failure, integer witness": lambda: kernel_failure(T5, KernelWitness([HUGE] * 5)),
+    "kernel_failure, zero tensor": lambda: kernel_failure(Z5, KernelWitness([HUGE] * 5)),
+    "substitution_values, zero tensor": lambda: substitution_values(Z5, HUGE, HUGE),
     "algebra_action": lambda: algebra_action(Z21, T3),
     "hyperdet --input": hyperdet_input,
 }

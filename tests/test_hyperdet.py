@@ -2,12 +2,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from schurdet import (
     InternalConsistencyError,
+    KernelWitness,
     SizeGuardError,
     Tensor,
     all_permutations,
@@ -28,6 +29,13 @@ E2 = (Fraction(0), Fraction(1))
 
 DIAGONAL = Tensor.from_map(3, 2, {(0, 0, 0): 1, (1, 1, 1): 1})
 NULL_PATTERN = Tensor.from_map(3, 2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1})
+# A(x, ., .) = 0 at the first probe x = (1, 0): every y passes, and the witness is (e1, e1, e2)
+FIRST_SLICE_ZERO = Tensor.from_map(3, 2, {(1, 0, 0): 2, (1, 1, 1): 3})
+# u (x) v (x) w with u orthogonal to the last probe (1, 2): every A(x, ., .) is singular,
+# and the only grid y and z orthogonal to v and w are (1, 2) and (2, 1), the last two probes
+LATE_RANK_ONE = rank_one([(2, -1), (2, -1), (1, -2)])
+# A(x, ., .) = diag(2 x0 - x1, x0 + 3 x1) is singular on the grid only at x = (1, 2), the last probe
+LAST_SINGULAR = Tensor.from_map(3, 2, {(0, 0, 0): 2, (0, 1, 1): 1, (1, 0, 0): -1, (1, 1, 1): 3})
 
 seeds = st.integers(0, 2**32)
 # small rationals with mixed denominators and both signs
@@ -268,6 +276,12 @@ class TestHyperdet222:
         assert hyperdet_222(t) == oracles.expanded_quartic_invariant(t)
         assert schlafli_coefficients(t) == oracles.reference_schlafli_coefficients(t)
 
+    @settings(max_examples=80)
+    @given(fraction_tensors_222())
+    def test_the_invariant_is_the_pencil_discriminant(self, t):
+        b0, b1, b2 = schlafli_coefficients(t)
+        assert hyperdet_222(t) == b1 * b1 - 4 * b0 * b2
+
     def test_coefficients_scale_by_the_squared_denominator(self):
         half = DIAGONAL.scale(Fraction(1, 2))
         assert schlafli_coefficients(half) == (0, Fraction(1, 4), 0)
@@ -290,6 +304,15 @@ class TestCrosscheck:
         assert witness is not None
         assert witness.vectors == (E2, E2, E2)
 
+    def test_the_examples_reach_the_search_where_they_should(self):
+        assert degeneracy_crosscheck_222(FIRST_SLICE_ZERO)[1].vectors == ((1, 0), (1, 0), (0, 1))
+        assert degeneracy_crosscheck_222(LATE_RANK_ONE) == (
+            "consistent",
+            KernelWitness([(1, 0), (1, 2), (2, 1)]),
+        )
+        assert hyperdet_222(LAST_SINGULAR) == 7**2
+        assert degeneracy_crosscheck_222(LAST_SINGULAR) == ("consistent", None)
+
     def test_nondegenerate_tensor_has_no_witness(self):
         verdict, witness = degeneracy_crosscheck_222(DIAGONAL)
         assert verdict == "consistent"
@@ -297,11 +320,19 @@ class TestCrosscheck:
 
     @settings(max_examples=60)
     @given(dense_tensors_222)
+    @example(FIRST_SLICE_ZERO)
+    @example(NULL_PATTERN)
+    @example(LATE_RANK_ONE)
+    @example(LAST_SINGULAR)
     def test_matches_the_witness_search_on_dense_tensors(self, t):
         self.check_against_the_reference(t)
 
     @settings(max_examples=100)
     @given(sparse_tensors_222)
+    @example(FIRST_SLICE_ZERO)
+    @example(NULL_PATTERN)
+    @example(LATE_RANK_ONE)
+    @example(LAST_SINGULAR)
     def test_matches_the_witness_search_on_sparse_tensors(self, t):
         self.check_against_the_reference(t)
 
