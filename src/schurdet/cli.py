@@ -26,8 +26,6 @@ from typing import Optional
 
 from .degeneracy import (
     MAX_EIGENCHECK,
-    MAX_SWEEP_DIM,
-    MAX_SWEEP_ORDER,
     critical_equation_failures,
     degeneracy_sweep,
     slot_system_eigencheck,
@@ -42,9 +40,10 @@ from .hyperdet import (
 )
 from .linalg import MAX_DET_SIZE, det_exact
 from .partitions import Partition, all_partitions, critical_set, is_exceptional
-from .perm_algebra import all_permutations
+from .perm_algebra import MAX_PROJECTOR_DEGREE, all_permutations
 from .rng import SplitMix64
 from .tensor_space import (
+    MAX_DENSE_SIZE,
     Tensor,
     permute_factors,
     project_isotypic,
@@ -73,10 +72,11 @@ class SuiteConfig:
     max_mu: int
 
     def __post_init__(self):
-        if not 2 <= self.p <= MAX_SWEEP_ORDER:
-            raise UsageError(f"--p must be in 2..{MAX_SWEEP_ORDER}")
-        if not 1 <= self.n <= MAX_SWEEP_DIM:
-            raise UsageError(f"--n must be in 1..{MAX_SWEEP_DIM}")
+        # p first: n ** p is formed only once p is known to be small
+        if not 2 <= self.p <= MAX_PROJECTOR_DEGREE:
+            raise UsageError(f"--p must be in 2..{MAX_PROJECTOR_DEGREE}")
+        if not (self.n >= 1 and self.n**self.p <= MAX_DENSE_SIZE):
+            raise UsageError(f"--n must be at least 1 with n**p <= {MAX_DENSE_SIZE}")
         if self.trials is not None and not 1 <= self.trials <= MAX_TRIALS:
             raise UsageError(f"--trials must be in 1..{MAX_TRIALS}")
         if not 1 <= self.max_mu <= MAX_EIGENCHECK:
@@ -382,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("text", "json"), default="text")
         if with_config:
             p.add_argument("--p", type=int, default=4,
-                           help=f"tensor order (2..{MAX_SWEEP_ORDER})")
+                           help=f"tensor order (2..{MAX_PROJECTOR_DEGREE})")
             p.add_argument("--n", type=int, default=3,
-                           help=f"vector space dimension (1..{MAX_SWEEP_DIM})")
+                           help=f"vector space dimension (n >= 1, n**p <= {MAX_DENSE_SIZE})")
             defaults = ", ".join(f"{name} {t}" for name, (_, t) in SUITES.items() if t)
             p.add_argument("--trials", type=int, default=None,
                            help=f"seeded trials per check (1..{MAX_TRIALS}; default {defaults})")

@@ -34,8 +34,6 @@ from .tensor_space import (
 
 MAX_SLOT_SYSTEM = MAX_DET_SIZE - 1  # the mu1 system has mu1 + 1 rows
 MAX_EIGENCHECK = 16
-MAX_SWEEP_ORDER = 5
-MAX_SWEEP_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -201,13 +199,10 @@ def degeneracy_sweep(
     Per trial: the positive equations for every critical-shape set partition,
     the diagonal kernel witness, and the single-substitution values must all
     vanish.  For the two exceptional shapes these statements are expected to
-    fail; the report simply records what happened.
+    fail; the report simply records what happened.  The size is bounded by
+    `random_tensor`'s dense guard and `isotypic_projector`'s degree guard.
     """
     p = lam.weight
-    if not 2 <= p <= MAX_SWEEP_ORDER:
-        raise SizeGuardError(f"sweep supports 2 <= order <= {MAX_SWEEP_ORDER}")
-    if dim > MAX_SWEEP_DIM:
-        raise SizeGuardError(f"sweep supports dim <= {MAX_SWEEP_DIM}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     failures: list[CheckFailure] = []

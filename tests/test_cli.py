@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import sys
@@ -139,12 +140,25 @@ class TestVerify:
         assert out.endswith("verdict: fail\n")
 
     def test_order_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "t2", "--p", "6", "--n", "3")
+        code, _, err = run(capsys, "verify", "t2", "--p", "7", "--n", "2")
         assert code == 2
         assert "--p" in err
 
     def test_dim_guard(self, capsys):
-        assert run(capsys, "verify", "t2", "--n", "4")[0] == 2
+        # 6**5 = 7,776 and 65**2 = 4,225 pass MAX_DENSE_SIZE
+        for p, n in [(5, 6), (2, 65)]:
+            code, _, err = run(capsys, "verify", "t2", "--p", str(p), "--n", str(n))
+            assert code == 2
+            assert "--n" in err
+
+    @pytest.mark.parametrize("p,n", [(10**20, 2), (6, 10**20)], ids=["huge-p", "huge-n"])
+    def test_order_is_checked_before_the_size(self, capsys, p, n):
+        # were n**p formed before p is checked, 2**(10**20) would never finish
+        start = time.perf_counter()
+        code, out, err = run(capsys, "report", "--p", str(p), "--n", str(n))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_trials_guard(self, capsys):
         assert run(capsys, "verify", "main", "--trials", "0")[0] == 2
@@ -469,14 +483,14 @@ class TestTopLevel:
         assert run(capsys, "--help")[0] == 0
 
     def test_help_ranges_follow_the_guards(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_SWEEP_ORDER", 7)
-        monkeypatch.setattr(cli, "MAX_SWEEP_DIM", 6)
+        monkeypatch.setattr(cli, "MAX_PROJECTOR_DEGREE", 7)
+        monkeypatch.setattr(cli, "MAX_DENSE_SIZE", 5000)
         monkeypatch.setattr(cli, "MAX_EIGENCHECK", 20)
         monkeypatch.setattr(cli, "MAX_TRIALS", 300)
         monkeypatch.setitem(cli.SUITES, "t2", (cli.run_t2, 9))
         code, out, _ = run(capsys, "report", "--help")
         assert code == 0
-        assert "(2..7)" in out and "(1..6)" in out and "(1..20)" in out
+        assert "(2..7)" in out and "n**p <= 5000" in out and "(1..20)" in out
         assert "(1..300; default t2 9, main 20, pfaffian 20, hyperdet222 50)" in " ".join(out.split())
 
     @pytest.mark.parametrize(
@@ -549,8 +563,8 @@ def not_an_int(text: str) -> bool:
 
 # each flag's accepted range; --seed takes any integer
 RANGES = {
-    "--p": (2, cli.MAX_SWEEP_ORDER),
-    "--n": (1, cli.MAX_SWEEP_DIM),
+    "--p": (2, cli.MAX_PROJECTOR_DEGREE),
+    "--n": (1, math.isqrt(cli.MAX_DENSE_SIZE)),
     "--trials": (1, cli.MAX_TRIALS),
     "--max-mu": (1, cli.MAX_EIGENCHECK),
 }

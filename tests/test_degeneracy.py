@@ -449,9 +449,18 @@ class TestDegeneracySweep:
         assert obj["witnesses_found"] == 2
 
     def test_guards(self):
+        # the projector's degree guard, then the dense guard (17**3 > 4096)
         with pytest.raises(SizeGuardError):
-            degeneracy_sweep(P(3, 2, 1), 3, 1, 1)
+            degeneracy_sweep(P(7), 2, 1, 1)
         with pytest.raises(SizeGuardError):
-            degeneracy_sweep(P(2, 1), 4, 1, 1)
+            degeneracy_sweep(P(2, 1), 17, 1, 1)
         with pytest.raises(ValueError):
             degeneracy_sweep(P(2, 1), 3, 0, 1)
+        # within both guards the sweep runs; the hook (2,1) fails as predicted
+        assert degeneracy_sweep(P(3, 2, 1), 3, 1, 1).verdict == "pass"
+        assert degeneracy_sweep(P(2, 1), 4, 1, 1).verdict == "fail"
+
+    def test_order_one_is_the_exceptional_row(self):
+        report = degeneracy_sweep(P(1), 3, 2, 1)
+        assert report.witnesses_found == 0
+        assert {f.check for f in report.failures} == {"diagonal-kernel", "substitution"}
