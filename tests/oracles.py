@@ -15,7 +15,10 @@ expansion over copied minors, the 2x2x2 kernel probe search over the reference
 slot slices, and the Schläfli coefficients from Fraction 2 x 2 determinants of
 the first-index pencil (the library runs all three on integers; the pencil
 route lives only here), and SplitMix64 written from its specification (the
-library batches its draws).  Only data types come from schurdet.
+library batches its draws).  Only data types come from schurdet, with one
+exception: `reference_sweep` replays the sweep's trial sequence through the
+library's own checks, without the every-x pre-check, so that agreement pins the
+pre-check's shortcut rather than the arithmetic.
 Agreement with the library is then a genuine two-route check.
 """
 
@@ -23,7 +26,23 @@ import itertools
 import math
 from fractions import Fraction
 
-from schurdet import AlgebraElement, KernelWitness, Partition, Permutation, SetPartition, Tensor
+from schurdet import (
+    AlgebraElement,
+    CheckFailure,
+    DegeneracyReport,
+    KernelWitness,
+    Partition,
+    Permutation,
+    SetPartition,
+    SplitMix64,
+    Tensor,
+    critical_equation_failures,
+    kernel_failure,
+    project_isotypic,
+    random_tensor,
+    random_vector,
+    substitution_values,
+)
 
 
 def hook_length_count(lam: Partition) -> int:
@@ -375,3 +394,31 @@ class ReferenceSplitMix64:
             u = self.raw()
             if u < 2**64 - 2**64 % m:
                 return lo + u % m
+
+
+def reference_sweep(lam: Partition, dim: int, trials: int, seed: int) -> DegeneracyReport:
+    """The sweep's trial sequence with no every-x pre-check: project, critical
+    equations, then the seeded diagonal kernel witness and substitution values on
+    every trial, drawing x and y on every trial."""
+    p = lam.weight
+    failures, witnesses = [], 0
+    trial_seeds = SplitMix64(seed)
+    for _ in range(trials):
+        trial_seed = trial_seeds.next_u64()
+        tensor_seed, x_seed, y_seed = SplitMix64(trial_seed).next_ints(0, 2**64 - 1, 3)
+        projected = project_isotypic(lam, random_tensor(p, dim, tensor_seed))
+        x = random_vector(dim, x_seed, nonzero=True)
+        y = random_vector(dim, y_seed)
+        for pi in critical_equation_failures(lam, projected):
+            failures.append(CheckFailure(trial_seed, "critical-equations", None, str(pi)))
+        miss = kernel_failure(projected, KernelWitness([x] * p))
+        if miss is None:
+            witnesses += 1
+        else:
+            failures.append(
+                CheckFailure(trial_seed, "diagonal-kernel", miss[0], f"component {miss[1]}")
+            )
+        for slot, value in enumerate(substitution_values(projected, x, y), start=1):
+            if value != 0:
+                failures.append(CheckFailure(trial_seed, "substitution", slot, f"value {value}"))
+    return DegeneracyReport(lam, dim, trials, witnesses, tuple(failures))

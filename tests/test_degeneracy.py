@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from schurdet import (
     algebra_action,
     all_partitions,
     all_set_partitions,
+    annihilates,
     critical_equation_failures,
     critical_set,
     degeneracy_crosscheck_222,
@@ -39,6 +41,7 @@ from oracles import (
     reference_contract_first,
     reference_evaluate,
     reference_slot_slice,
+    reference_sweep,
 )
 from test_tensor_space import fraction_tensors, fractions
 
@@ -464,3 +467,94 @@ class TestDegeneracySweep:
         report = degeneracy_sweep(P(1), 3, 2, 1)
         assert report.witnesses_found == 0
         assert {f.check for f in report.failures} == {"diagonal-kernel", "substitution"}
+
+
+def hooks(order):
+    """The set partitions {[p] - {k}, {k}}, k = 1..p; at order 1 the one block {1}."""
+    return [
+        SetPartition([b for b in ([j for j in range(1, order + 1) if j != k], [k]) if b])
+        for k in range(1, order + 1)
+    ]
+
+
+class TestEveryX:
+    """The sweep runs its seeded kernel and substitution checks only where "every slice
+    vanishes for every x" fails, and answers that from the cheapest source: a zero
+    tensor, passed critical equations of a shape with a part 1, or the p hook tests."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_the_decision_is_the_hook_tests_and_implies_the_seeded_checks(self, data):
+        t = data.draw(sweep_tensors)
+        p, n = t.order, t.dim
+        hook_partitions = hooks(p)
+        for lam in all_partitions(p):
+            a = project_isotypic(lam, t)
+            # the definition: slice k's coefficients are the orbit sums of its hook
+            tests = [annihilates(positive_element(pi), a) for pi in hook_partitions]
+            decision = degeneracy._every_x_vanishes(lam, a, critical_equation_failures(lam, a))
+            assert decision == all(tests)
+            if not decision:
+                failing = hook_partitions[tests.index(False)]
+                assert not reference_algebra_action(positive_element(failing), a).is_zero
+                continue
+            for seed in (1, 2, 3):
+                x, y = random_vector(n, seed, nonzero=True), random_vector(n, seed + 100)
+                assert kernel_failure(a, KernelWitness([x] * p)) is None
+                assert substitution_values(a, x, y) == [0] * p
+            # and the reference slices on the last x: A(x, ..., x, ., x, ..., x) = 0
+            assert not any(any(reference_slot_slice(a, [x] * p, k)) for k in range(1, p + 1))
+
+    def test_the_sweep_equals_the_sweep_without_the_pre_check(self):
+        started = time.perf_counter()
+        configs = [(lam, n) for p in range(1, 6) for lam in all_partitions(p) for n in (1, 2, 3)]
+        configs += [(lam, 4) for lam in all_partitions(4)]
+        for lam, n in configs:
+            for seed in (11, 12, 13):
+                expected = reference_sweep(lam, n, 3, seed)
+                assert degeneracy_sweep(lam, n, 3, seed) == expected, (lam, n, seed)
+        assert time.perf_counter() - started < 2
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("kernel_failure", "substitution_values", "annihilates"):
+            original = getattr(degeneracy, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(degeneracy, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "parts, hook_tests",
+        [((3, 2), 0), ((2, 2, 1), 0), ((2, 1, 1, 1), 0), ((1,) * 5, 0), ((3, 1, 1), 5)],
+    )
+    def test_shapes_that_pass_every_x_run_no_seeded_check(self, calls, parts, hook_tests):
+        lam = Partition(parts)
+        critical = [pi for pi in all_set_partitions(5) if pi.shape() in critical_set(lam)]
+        zero = project_isotypic(lam, random_tensor(5, 3, 1)).is_zero
+        assert zero == (len(parts) > 3)
+        report = degeneracy_sweep(lam, 3, 1, 1)
+        assert report.verdict == "pass" and report.witnesses_found == 1
+        # (3,2) and (2,2,1) reuse their critical equations, of shape (4,1) and (3,1,1)
+        assert calls == ({} if zero else {"annihilates": len(critical) + hook_tests})
+
+    @pytest.mark.parametrize("parts", [(5,), (4, 1)])
+    def test_exceptional_shapes_run_both_seeded_checks_every_trial(self, calls, parts):
+        lam = Partition(parts)
+        report = degeneracy_sweep(lam, 3, 2, 1)
+        assert report.verdict == "fail"
+        assert calls["kernel_failure"] == calls["substitution_values"] == 2
+        critical = sum(pi.shape() in critical_set(lam) for pi in all_set_partitions(5))
+        # the hook tests stop at their first failure
+        assert calls["annihilates"] == 2 * (critical + 1)
+
+    @pytest.mark.parametrize("order, dim", [(p, n) for p in range(2, 6) for n in (2, 3)])
+    def test_the_exceptional_shapes_fail_both_seeded_checks(self, order, dim):
+        """Negative controls: a pre-check that passed these would hide both checks."""
+        for lam in (Partition((order,)), Partition((order - 1, 1))):
+            checks = {f.check for f in degeneracy_sweep(lam, dim, 5, order * 10 + dim).failures}
+            assert checks == {"diagonal-kernel", "substitution"}, (lam, dim)
