@@ -154,15 +154,12 @@ def slot_system_eigencheck(mu1: int) -> bool:
 
 def substitution_values(tensor: Tensor, x: Sequence, y: Sequence) -> list[Fraction]:
     """The p evaluations with y in one slot and x in all others, slot 1 first:
-    value k is L_k(y, x, ..., x), L_1 = A and L_(k+1) = L_k paired with x in slot 1.
-    A zero L_k gives zeros from value k on, as in `kernel_failure`."""
+    value k is L_k(y, x, ..., x), L_1 = A and L_(k+1) = L_k paired with x in slot 1."""
     out, chain = [], tensor
     for rest in reversed(range(tensor.order)):
         out.append(evaluate(chain, [y] + [x] * rest))
         if rest:
             chain = contract_first(chain, x)
-            if not any(chain.nums):
-                return out + [Fraction(0)] * rest
     return out
 
 

@@ -245,7 +245,6 @@ def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._from_ints(left.degree, acc, left.den * right.den)
 
 
-@lru_cache(maxsize=None)
 def young_blocks(group: frozenset) -> tuple[tuple[int, ...], ...] | None:
     """The blocks B, sorted, when a set of image tuples is exactly the Young subgroup S_B.
 

@@ -14,8 +14,8 @@ the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
 One coefficient over a whole Young subgroup acts by orbit sums, the differences
 of running sums at the orbits' ends in a layout cached by the subgroup's blocks;
 any other element by its cached integer matrix on each weight space.  Spaces whose
-digit counts agree up to order share one matrix, so `isotypic_rank` reduces one
-block per weight type; a projection skips the types its element kills.  One integer
+digit counts agree up to order share one matrix, and a type the element kills has
+none, so a projection and `isotypic_rank` visit only the types it keeps.  One integer
 loop contracts slot 1, one pass over an outer product the slots after a free one.
 """
 
@@ -204,7 +204,6 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
     return Tensor._from_ints(tensor.order, tensor.dim, [nums[s] for s in table], tensor.den)
 
 
-@lru_cache(maxsize=None)
 def _orbit_table(blocks: tuple, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbits of the Young subgroup S_B of the sorted blocks B on flat indices.
 
@@ -259,7 +258,8 @@ def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
     whose counts do not increase with the digit: row i holds what its i-th word
     takes from each of its words.  Each of `spaces` lists a space's flat indices as
     the relabelled representative words, so row i belongs to spaces[s][i].  Rows
-    are tuples (all-zero blocks kept), shared by `algebra_action` and `isotypic_rank`.
+    are tuples, shared by `algebra_action` and `isotypic_rank`; a type the element
+    kills is absent.
     """
     flat = {w: f for f, w in enumerate(itertools.product(range(dim), repeat=degree))}
     spaces: dict[tuple, list] = {}
@@ -277,7 +277,8 @@ def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
     for images, coeff in terms:  # word w takes the word with w_j in slot k, images[k-1] = j
         for row, j in zip(rows, map(local.__getitem__, zip(*map(columns.__getitem__, (0, *images))))):
             row[j] += coeff
-    return tuple((tuple(map(tuple, b)), tuple(s)) for b, (_, s) in zip(blocks, types.values()))
+    kept = [(b, s) for b, (_, s) in zip(blocks, types.values()) if any(map(any, b))]
+    return tuple((tuple(map(tuple, b)), tuple(s)) for b, s in kept)
 
 
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
@@ -295,7 +296,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
     if young is None:
         out = [0] * len(entries)
         for rows, spaces in _weight_blocks(element.term_set, element.degree, tensor.dim):
-            for indices in spaces if any(map(any, rows)) else ():  # a zero block leaves zeros
+            for indices in spaces:
                 column = [entries[f] for f in indices]
                 for f, row in zip(indices, rows):
                     out[f] = sum(map(mul, row, column))
@@ -327,7 +328,7 @@ def _contract(nums: Sequence[int], den: int, dim: int, vector: Sequence) -> tupl
     if weight_den > 1:  # an integer vector, as every seeded draw is, adds no denominator
         refuse_denominators("contracted", (den, weight_den), block)
     out = [0] * block
-    for d, weight in enumerate(weights if any(nums) else ()):  # a zero tensor pairs to zeros
+    for d, weight in enumerate(weights):
         if weight:
             out = [o + weight * e for o, e in zip(out, nums[d * block : (d + 1) * block])]
     return out, den * weight_den
@@ -351,8 +352,6 @@ def _contract_trailing(nums: Sequence[int], den: int, dim: int, vectors: Sequenc
     refuse_numerators("contracted", bits, run)
     if dens:
         refuse_denominators("contracted", (den, *dens), len(nums) // run)
-    if not any(nums):  # a zero tensor, such as a component that vanishes, pairs to zeros
-        return [0] * (len(nums) // run), 1
     outer = weights[0]
     for w in weights[1:]:
         outer = [a * b for a in outer for b in w]
@@ -407,9 +406,9 @@ def project_isotypic(lam: Partition, tensor: Tensor) -> Tensor:
 def isotypic_rank(lam: Partition, dim: int) -> int:
     """Dimension of the lam-isotypic component of the order-p tensor space.
 
-    `rank_exact` of each of the projector's cached `_weight_blocks`, the blocks
-    `project_isotypic` applies, times the number of weight spaces of its type, so
-    it is bounded as a projection is: dim**p checked first, then the projector's degree.
+    `rank_exact` of each of the projector's cached `_weight_blocks` (a killed type, of rank 0,
+    has none), times the number of weight spaces of its type; they are the blocks
+    `project_isotypic` applies, so it is bounded as a projection is: dim**p, then the degree.
     """
     _dense_size(lam.weight, dim)
     projector, _ = isotypic_projector(lam)

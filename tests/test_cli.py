@@ -4,12 +4,15 @@ import os
 import re
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
+from pkgutil import iter_modules
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import schurdet
 from schurdet import InternalConsistencyError, cli
 from schurdet.cli import main
 
@@ -420,6 +423,25 @@ class TestReport:
         assert code == 0
         assert "suite lemma1: pass" in out
         assert out.strip().endswith("verdict: pass")
+
+    def test_every_cache_on_the_report_path_hits(self, capsys):
+        # a cache whose one caller is itself cached, or that sees each key once, holds
+        # memory and buys nothing: every cache a cold report misses must also hit
+        modules = [import_module(f"schurdet.{m.name}") for m in iter_modules(schurdet.__path__)]
+        caches = {
+            f"{module.__name__}.{name}": fn
+            for module in modules
+            for name, fn in vars(module).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+        }
+        assert {"schurdet.tensor_space._orbit_layout", "schurdet.tensor_space._weight_blocks"} <= set(caches)
+        for fn in caches.values():
+            fn.cache_clear()
+        started = time.perf_counter()
+        code, _, _ = run(capsys, "report", "--p", "5", "--n", "3", "--output", "json")
+        assert code == 0 and time.perf_counter() - started < 1
+        infos = {name: fn.cache_info() for name, fn in caches.items()}
+        assert [name for name, info in infos.items() if info.misses and not info.hits] == []
 
 
 class TestSuiteTable:

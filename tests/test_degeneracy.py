@@ -552,6 +552,21 @@ class TestEveryX:
         # the hook tests stop at their first failure
         assert calls["annihilates"] == 2 * (critical + 1)
 
+    @pytest.mark.parametrize("parts, seed", [((2, 1), 44), ((3,), 136)])
+    def test_an_exceptional_trial_can_pass_at_its_seeded_witness(self, parts, seed):
+        # every x fails, yet the seeded x is a kernel point: the trial counts a witness
+        lam, p = Partition(parts), sum(parts)
+        trial_seed = SplitMix64(seed).next_u64()
+        tensor_seed, x_seed, y_seed = SplitMix64(trial_seed).next_ints(0, 2**64 - 1, 3)
+        a = project_isotypic(lam, random_tensor(p, 2, tensor_seed))
+        assert not degeneracy._every_x_vanishes(lam, a, critical_equation_failures(lam, a))
+        x, y = random_vector(2, x_seed, nonzero=True), random_vector(2, y_seed)
+        assert kernel_failure(a, KernelWitness([x] * p)) is None
+        assert substitution_values(a, x, y) == [0] * p
+        report = degeneracy_sweep(lam, 2, 1, seed)
+        assert report.witnesses_found == 1 and report.failures == ()
+        assert report == reference_sweep(lam, 2, 1, seed)
+
     @pytest.mark.parametrize("order, dim", [(p, n) for p in range(2, 6) for n in (2, 3)])
     def test_the_exceptional_shapes_fail_both_seeded_checks(self, order, dim):
         """Negative controls: a pre-check that passed these would hide both checks."""

@@ -85,7 +85,7 @@ ZERO_IN_THE_TAIL = (
     Tensor(3, 3, [F(k % 7 - 3) / (k % 4 + 1) for k in range(27)]),
     [(1, F(-1) / 2, 2), (0, 0, 0), (F(1) / 3, -1, 4)],
 )
-# a zero tensor pairs to zeros without forming the outer product
+# a zero tensor with fractional vectors: the contractions' zeros, over any denominator
 ZERO_TENSOR = (Tensor(3, 2, [0] * 8), [(F(1) / 2, 3), (1, F(-1) / 3), (2, 2)])
 
 
@@ -778,13 +778,18 @@ class TestIsotypicRank:
             for lam in all_partitions(order):
                 assert isotypic_rank(lam, dim) == reference_isotypic_rank(lam, dim)
 
+    @staticmethod
+    def weight_type(word):
+        return Partition(sorted(Counter(word).values(), reverse=True))
+
     @pytest.mark.parametrize("order, dim", [(4, 3), (5, 3), (6, 2), (2, 40)])
     def test_one_block_per_weight_type(self, order, dim):
         words = list(itertools.product(range(dim), repeat=order))
         lam = P(order - 1, 1)
         blocks = tensor_space._weight_blocks(isotypic_projector(lam)[0].term_set, order, dim)
+        kept = [f for f, w in enumerate(words) if dominance_leq(self.weight_type(w), lam)]
         flats = [f for _, spaces in blocks for indices in spaces for f in indices]
-        assert sorted(flats) == list(range(dim**order))  # the spaces partition the indices
+        assert sorted(flats) == kept  # the spaces partition the indices of the types lam dominates
         for rows, spaces in blocks:
             assert len(rows) == len(spaces[0])
             counts = [words[spaces[0][0]].count(d) for d in range(dim)]
@@ -795,22 +800,25 @@ class TestIsotypicRank:
                 pairs = {pair for f, g in zip(spaces[0], indices) for pair in zip(words[f], words[g])}
                 relabel = dict(pairs)
                 assert len(pairs) == len(relabel) == len(set(relabel.values()))
-        parts = [mu for mu in all_partitions(order) if mu.rows <= dim]
-        assert len(blocks) == len(parts)
+        parts = [mu for mu in all_partitions(order) if mu.rows <= dim and dominance_leq(mu, lam)]
+        types = sorted(self.weight_type(words[spaces[0][0]]).parts for _, spaces in blocks)
+        assert types == sorted(mu.parts for mu in parts)  # one block per type lam dominates, no other
 
     def test_vanishing_blocks_are_the_types_lam_does_not_dominate(self):
         # Young's rule: z_lam is zero on the weight type nu exactly when K_lam,nu = 0, that
-        # is when lam does not dominate nu; algebra_action skips those blocks' products
+        # is when lam does not dominate nu; _weight_blocks leaves those types out
         words = list(itertools.product(range(3), repeat=5))
+        space_sizes = Counter(tuple(sorted(w)) for w in words)
         skipped = {}
         for lam in all_partitions(5):
             blocks = tensor_space._weight_blocks(isotypic_projector(lam)[0].term_set, 5, 3)
-            skipped[lam.parts] = 0
-            for rows, spaces in blocks:
-                counts = Counter(words[spaces[0][0]]).values()
-                vanishes = not any(map(any, rows))
-                assert vanishes == (not dominance_leq(Partition(sorted(counts)[::-1]), lam))
-                skipped[lam.parts] += vanishes * len(rows) ** 2 * len(spaces)
+            assert all(any(map(any, rows)) for rows, _ in blocks)
+            kept = {self.weight_type(words[spaces[0][0]]) for _, spaces in blocks}
+            assert len(kept) == len(blocks)
+            assert kept == {mu for mu in all_partitions(5) if mu.rows <= 3 and dominance_leq(mu, lam)}
+            skipped[lam.parts] = sum(
+                size**2 for word, size in space_sizes.items() if self.weight_type(word) not in kept
+            )
         # of 4,653 multiply-adds per projection at p = 5, n = 3
         assert skipped == {
             (5,): 0, (4, 1): 3, (3, 2): 153, (3, 1, 1): 753, (2, 2, 1): 1953,
