@@ -85,7 +85,7 @@ def kernel_failure(
             return slot, next(c for c, value in enumerate(covector) if value)
         if slot < tensor.order:
             chain = contract_first(chain, vectors[slot - 1])
-            if not any(chain.nums):
+            if chain.is_zero:
                 break
     return None
 
@@ -106,7 +106,7 @@ def critical_equation_failures(lam: Partition, tensor: Tensor) -> list[SetPartit
     if lam.weight != tensor.order:
         raise ValueError("partition weight must equal the tensor order")
     shapes = critical_set(lam)
-    if not any(tensor.nums):  # a zero tensor satisfies every positive equation
+    if tensor.is_zero:  # a zero tensor satisfies every positive equation
         return []
     candidates = _partitions_of_shapes(tensor.order, shapes)
     return [pi for pi in candidates if not annihilates(positive_element(pi), tensor)]
@@ -118,7 +118,7 @@ def _every_x_vanishes(lam: Partition, tensor: Tensor, critical_failed: list) -> 
     pi = {[p] - {k}, {k}}.  A passed critical pi' with a block {k} refines that pi, and
     P_pi = sum over cosets of g P_pi', so such a shape answers all p.  Order 1 has none."""
     p = tensor.order
-    if not any(tensor.nums) or not critical_failed and any(1 in mu.parts for mu in critical_set(lam)):
+    if tensor.is_zero or not critical_failed and any(1 in mu.parts for mu in critical_set(lam)):
         return True
     hooks = _partitions_of_shapes(p, frozenset({Partition((p - 1, 1))})) if p > 1 else ()
     return bool(hooks) and all(annihilates(positive_element(pi), tensor) for pi in hooks)

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError, SizeGuardError
 from .partitions import Partition, SetPartition, as_int_tuple, character
-from .rational import integer_values, refuse_denominators
+from .rational import integer_values, refuse_denominators, refuse_numerators
 
 MAX_GROUP_DEGREE = 8
 MAX_PROJECTOR_DEGREE = 6
@@ -158,6 +158,11 @@ class AlgebraElement:
         return frozenset(self.nums.items())
 
     @cached_property
+    def _bits(self) -> int:
+        """The bit length of the largest numerator, which `multiply` budgets."""
+        return max(map(abs, self.nums.values()), default=0).bit_length()
+
+    @cached_property
     def young_sum(self) -> tuple[int, tuple] | None:
         """(c, B) when nums is c on exactly the Young subgroup S_B, else None."""
         coeffs = set(self.nums.values())
@@ -215,12 +220,13 @@ def multiply(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     A left factor that is c times the sum of a Young subgroup H = S_B goes by
     coset sums: right's numerators are summed over each coset H tau, keyed by
     the block of each image, and each nonzero sum goes to its |H| members h * tau.
-    Any other left factor composes every pair sigma * tau.  Denominators are
-    refused by size first, for at most min(|left| * |right|, p!) terms.
+    Any other left factor composes every pair sigma * tau.  Numerators and
+    denominators are refused by size first, for at most min(|left| * |right|, p!) terms.
     """
     if left.degree != right.degree:
         raise ValueError("degree mismatch")
     terms = min(len(left.nums) * len(right.nums), factorial(left.degree))
+    refuse_numerators("multiplied", left._bits + right._bits, terms)
     refuse_denominators("multiplied", (left.den, right.den), terms)
     # at degree 1 itemgetter(*tau) would return a point, not a tuple
     young = left.young_sum if left.degree > 1 else None
@@ -283,9 +289,9 @@ def _young_subgroup(ground_size: int, blocks: tuple) -> tuple[tuple[int, ...], .
 
 @lru_cache(maxsize=None)
 def _positive_fields(ground_size: int, blocks: tuple) -> dict:
-    """A positive element's fields: a shared read-only support, young_sum (1, blocks) preset."""
+    """A positive element's fields: a shared read-only support; _bits 1, young_sum (1, blocks) preset."""
     nums = MappingProxyType(dict.fromkeys(_young_subgroup(ground_size, blocks), 1))
-    return {"degree": ground_size, "den": 1, "nums": nums, "young_sum": (1, blocks)}
+    return {"degree": ground_size, "den": 1, "nums": nums, "_bits": 1, "young_sum": (1, blocks)}
 
 
 def positive_element(pi: SetPartition) -> AlgebraElement:

@@ -1,9 +1,9 @@
 """Exact rational scalars.  `integer_values` is the one intake: tensor entries, vectors, matrix
 rows and algebra coefficients, each checked as by `as_fraction`, are kept as integer numerators
 over one least denominator, and `refuse_denominators` is the one size check on a computed
-tensor's or algebra element's denominators, `refuse_numerators` on a contraction's
-products.  Computed values (entries, slices, evaluations, determinants, Pfaffians,
-invariants) are Fractions; seeded draws, the slot system and witnesses are ints."""
+tensor's or algebra element's denominators, `refuse_numerators` on a product's numerators (of
+vectors or of algebra elements).  Computed values (entries, slices, evaluations, determinants,
+Pfaffians, invariants) are Fractions; seeded draws, the slot system and witnesses are ints."""
 
 import re
 from fractions import Fraction
@@ -17,6 +17,7 @@ MAX_RATIONAL_TEXT = 1000
 # integer_values call has it alone, a matrix's rows share it
 MAX_DENOMINATOR_BITS = 1 << 22
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INT = frozenset({int})
 
 
 def as_fraction(value) -> Fraction:
@@ -61,8 +62,8 @@ def refuse_denominators(what: str, dens: Iterable[int], size: int) -> None:
 
 
 def refuse_numerators(what: str, bits: int, size: int) -> None:
-    """SizeGuardError when size products of one entry from each of some integer vectors could
-    pass the budget: bits, the bit lengths of the vectors' largest entries summed, times size."""
+    """SizeGuardError when size products of one numerator from each of some factors could pass
+    the budget: bits, the bit lengths of the factors' largest numerators summed, times size."""
     if bits * size > MAX_DENOMINATOR_BITS:
         raise SizeGuardError(f"{what} numerators pass {MAX_DENOMINATOR_BITS // size} bits")
 
@@ -71,6 +72,6 @@ def integer_values(values: Iterable, max_bits: int = MAX_DENOMINATOR_BITS) -> tu
     """The one scalar intake: common_denominator of the values, each checked as
     `as_fraction` checks it, under max_bits.  A plain int builds no Fraction."""
     values = list(values)
-    if set(map(type, values)) <= {int}:
+    if _INT.issuperset(map(type, values)):  # tests each type in turn, building no set
         return values, 1
     return common_denominator([v if type(v) is int else as_fraction(v) for v in values], max_bits)

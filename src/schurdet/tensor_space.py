@@ -15,8 +15,9 @@ One coefficient over a whole Young subgroup acts by orbit sums, the differences
 of running sums at the orbits' ends in a layout cached by the subgroup's blocks;
 any other element by its cached integer matrix on each weight space.  Spaces whose
 digit counts agree up to order share one matrix, and a type the element kills has
-none, so a projection and `isotypic_rank` visit only the types it keeps.  One integer
-loop contracts slot 1, one pass over an outer product the slots after a free one.
+none, so a projection and `isotypic_rank` visit only the types it keeps.  Every product of
+vectors (`rank_one`'s, a contraction's) is formed by `_outer`, and `_pair` pairs it with the
+leading or trailing slots.
 """
 
 from __future__ import annotations
@@ -169,18 +170,13 @@ class Tensor:
 
 
 def rank_one(vectors: Sequence[Sequence]) -> Tensor:
-    """Outer product x^1 (x) ... (x) x^p of the given vectors, each through the intake;
-    the factors' denominators are refused by size before any product is formed."""
+    """Outer product x^1 (x) ... (x) x^p of the given vectors, formed by `_outer`."""
     if not vectors:
         raise ValueError("need at least one vector")
     dim = len(vectors[0])
     size = _dense_size(len(vectors), dim)
-    if any(len(v) != dim for v in vectors):
-        raise ValueError("all factors must share one dimension")
-    nums, dens = zip(*map(integer_values, vectors))
-    refuse_denominators("rank-one", dens, size)
-    entries = [prod(factors) for factors in itertools.product(*nums)]
-    return Tensor._from_ints(len(vectors), dim, entries, prod(dens))
+    entries, den = _outer("rank-one", vectors, dim, 1, size, size)
+    return Tensor._from_ints(len(vectors), dim, entries, den)
 
 
 @lru_cache(maxsize=None)
@@ -317,28 +313,11 @@ def annihilates(element: AlgebraElement, tensor: Tensor) -> bool:
     return not any(young[2])
 
 
-def _contract(nums: Sequence[int], den: int, dim: int, vector: Sequence) -> tuple:
-    """Pair slot 1 of the entries nums / den with the vector, as (nums, den): each
-    weight times its run of len(nums) / dim entries, refused by size first."""
-    if len(vector) != dim:
-        raise ValueError("vector length must equal the tensor dimension")
-    weights, weight_den = integer_values(vector)
-    block = len(nums) // dim
-    refuse_numerators("contracted", max(map(abs, weights)).bit_length(), block)
-    if weight_den > 1:  # an integer vector, as every seeded draw is, adds no denominator
-        refuse_denominators("contracted", (den, weight_den), block)
-    out = [0] * block
-    for d, weight in enumerate(weights):
-        if weight:
-            out = [o + weight * e for o, e in zip(out, nums[d * block : (d + 1) * block])]
-    return out, den * weight_den
-
-
-def _contract_trailing(nums: Sequence[int], den: int, dim: int, vectors: Sequence) -> tuple:
-    """Pair the last len(vectors) slots of nums / den with the vectors (none: as they are), as
-    (nums, den): their outer product, refused by size before it is formed, against each run."""
-    if not vectors:
-        return nums, den
+def _outer(what: str, vectors: Sequence, dim: int, den: int, size: int, entries: int) -> tuple:
+    """The vectors' outer product, each vector through the intake, as (products, den times
+    the vectors' denominators).  Refused by size before it is formed: the bit lengths of the
+    vectors' largest numerators, summed, times max(size, entries), and when some vector is
+    not integer, (den, *their denominators) times entries."""
     weights, dens, bits = [], [], 0
     for vector in vectors:
         if len(vector) != dim:
@@ -348,20 +327,37 @@ def _contract_trailing(nums: Sequence[int], den: int, dim: int, vectors: Sequenc
         bits += max(map(abs, w)).bit_length()
         if d > 1:  # an integer vector, as every seeded draw is, adds no denominator
             dens.append(d)
-    run = dim ** len(weights)
-    refuse_numerators("contracted", bits, run)
+    refuse_numerators(what, bits, size if size > entries else entries)
     if dens:
-        refuse_denominators("contracted", (den, *dens), len(nums) // run)
+        refuse_denominators(what, (den, *dens), entries)
+        den *= prod(dens)
     outer = weights[0]
     for w in weights[1:]:
         outer = [a * b for a in outer for b in w]
-    out = [sum(map(mul, nums[i : i + run], outer)) for i in range(0, len(nums), run)]
-    return out, den * prod(dens)
+    return outer, den
+
+
+def _pair(nums: Sequence[int], den: int, dim: int, vectors: Sequence, leading: bool) -> tuple:
+    """Pair the first (leading) or last len(vectors) slots of nums / den with the vectors (none:
+    as they are), as (nums, den): leading, each product weight times its contiguous block of
+    the rest; trailing, the products against each contiguous run."""
+    if not vectors:
+        return nums, den
+    run = dim ** len(vectors)
+    rest = len(nums) // run
+    outer, den = _outer("contracted", vectors, dim, den, run, rest)
+    if not leading:
+        return [sum(map(mul, nums[i : i + run], outer)) for i in range(0, len(nums), run)], den
+    out = [0] * rest
+    for d, weight in enumerate(outer):
+        if weight:
+            out = [o + weight * e for o, e in zip(out, nums[d * rest : (d + 1) * rest])]
+    return out, den
 
 
 def contract_first(tensor: Tensor, vector: Sequence) -> Tensor | Fraction:
     """Pair slot 1 with the vector; scalar result once the last slot is used."""
-    out, den = _contract(tensor.nums, tensor.den, tensor.dim, vector)
+    out, den = _pair(tensor.nums, tensor.den, tensor.dim, (vector,), True)
     if tensor.order == 1:
         return Fraction(out[0], den)
     return Tensor._from_ints(tensor.order - 1, tensor.dim, out, den)
@@ -371,25 +367,23 @@ def evaluate(tensor: Tensor, vectors: Sequence[Sequence]) -> Fraction:
     """Full evaluation A(x^1, ..., x^p): slots 2..p in one pass, then x^1 in another."""
     if len(vectors) != tensor.order:
         raise ValueError("need one vector per slot")
-    nums, den = _contract_trailing(tensor.nums, tensor.den, tensor.dim, vectors[1:])
-    (value,), den = _contract_trailing(nums, den, tensor.dim, vectors[:1])
+    nums, den = _pair(tensor.nums, tensor.den, tensor.dim, vectors[1:], False)
+    (value,), den = _pair(nums, den, tensor.dim, vectors[:1], False)
     return Fraction(value, den)
 
 
 def slot_slice(tensor: Tensor, vectors: Sequence, slot: int) -> tuple[Fraction, ...]:
     """Partial evaluation leaving slot `slot` (1-based) free.
 
-    vectors[slot - 1] is ignored and may be None.  Slots before the free one go
-    through contract_first; slots after it are contracted in one pass.
+    vectors[slot - 1] is ignored and may be None.  The slots before the free one are
+    paired in one leading pass, then the slots after it in one trailing pass.
     """
     if not 1 <= slot <= tensor.order:
         raise ValueError(f"slot must be in 1..{tensor.order}")
     if len(vectors) != tensor.order:
         raise ValueError("need one vector per slot")
-    current = tensor
-    for vec in vectors[: slot - 1]:
-        current = contract_first(current, vec)
-    entries, den = _contract_trailing(current.nums, current.den, tensor.dim, vectors[slot:])
+    nums, den = _pair(tensor.nums, tensor.den, tensor.dim, vectors[: slot - 1], True)
+    entries, den = _pair(nums, den, tensor.dim, vectors[slot:], False)
     return tuple(map(Fraction, entries)) if den == 1 else tuple(Fraction(v, den) for v in entries)
 
 

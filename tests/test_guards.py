@@ -3,15 +3,18 @@ refuses with SizeGuardError in under half a second, before any large integer is 
 
 Every denominator here is a power of 3 or 5 of hundreds of thousands of bits, each within
 the budget of `MAX_DENOMINATOR_BITS` alone; the rows combine them past it.  The integer
-vector rows do the same with numerators: a contraction's products count the bit lengths
-of its vectors' largest entries, summed, once per entry.  The command line turns the
+rows do the same with numerators: a product of vectors (a contraction's, `rank_one`'s)
+counts the bit lengths of its vectors' largest entries, summed, once per entry, and an
+algebra product its factors' largest coefficients once per term.  The command line turns the
 refusal into exit code 2 and one `error:` line.
 """
 
+import itertools
 import json
 import tempfile
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -37,7 +40,12 @@ from schurdet import (
 from schurdet.cli import main
 from schurdet.tensor_space import contract_first
 
-from oracles import reference_contract_first, reference_evaluate, reference_slot_slice
+from oracles import (
+    reference_contract_first,
+    reference_evaluate,
+    reference_multiply,
+    reference_slot_slice,
+)
 
 TINY = Fraction(1, 3 ** (2**19))  # 830,977 bits: five values fit the budget, six do not
 THIRD, FIFTH = Fraction(1, 3 ** (2**18)), Fraction(1, 5 ** (2**18))  # 415,491 and 608,683 bits
@@ -48,6 +56,8 @@ T3 = Tensor(3, 3, [Fraction(1, 5 ** (2**16))] + [0] * 26)
 Z21 = isotypic_projector(Partition([2, 1]))[0].scale(TINY)
 HUGE = (3 ** (2**19), 0, 1)  # an integer vector whose largest entry has 830,977 bits
 Z5 = Tensor.zero(5, 3)  # the first slice or value refuses before a zero chain can end the walk
+# six integer coefficients of 830,977 bits: their square counts 1,661,954 bits per term
+S3 = AlgebraElement(3, {g: HUGE[0] + k for k, g in enumerate(all_permutations(3))})
 
 
 def hyperdet_input() -> int:
@@ -63,10 +73,12 @@ GUARDS = {
     "Tensor.scale": lambda: T5.scale(TINY),
     "Tensor.__add__": lambda: Tensor(2, 2, [TINY] * 4) + Tensor(2, 2, [FIFTH] * 4),
     "rank_one": lambda: rank_one([(TINY, 1)] * 3),
+    "rank_one, integer vectors": lambda: rank_one([HUGE] * 5),
     "AlgebraElement": lambda: AlgebraElement(3, dict.fromkeys(all_permutations(3), TINY)),
     "AlgebraElement.scale": lambda: Z3.scale(TINY),
     "AlgebraElement.__add__": lambda: Z3.scale(THIRD) + Z3.scale(FIFTH),
     "AlgebraElement.__mul__": lambda: Z3.scale(THIRD) * Z3.scale(FIFTH),
+    "AlgebraElement.__mul__, integer coefficients": lambda: S3 * S3,
     "det_exact": lambda: det_exact([[TINY if i == j else 0 for j in range(3)] for i in range(3)]),
     "pfaffian": lambda: pfaffian([[0, TINY, 0, 0], [-TINY, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
     "KernelWitness": lambda: KernelWitness([(TINY,) * 6]),
@@ -113,3 +125,10 @@ def test_each_part_alone_is_within_the_budget():
     vectors = [(1, -1, 2)] + [(3**5000, 0, 1)] * 4
     assert slot_slice(T5, vectors, 1) == reference_slot_slice(T5, vectors, 1)
     assert evaluate(T5, vectors) == reference_evaluate(T5, vectors)
+    factors = [(3**5000, 0, 1)] * 4  # the same 31,700 bits per product, 81 products
+    product = rank_one(factors)
+    for index in itertools.product(range(3), repeat=4):
+        assert product.entry(index) == prod(f[i] for f, i in zip(factors, index))
+    # six coefficients of 207,745 bits: 415,490 bits per term of the square, six terms
+    element = AlgebraElement(3, {g: 3 ** (2**17) + k for k, g in enumerate(all_permutations(3))})
+    assert element * element == reference_multiply(element, element)

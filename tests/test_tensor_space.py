@@ -283,11 +283,13 @@ class TestEvaluation:
         )
 
     def test_slot_slice_matches_brute_force(self):
-        for order, dim, seed in [(3, 3, 7), (4, 2, 8), (2, 3, 9)]:
+        # (5, 3) and (6, 2) pair leading runs of up to 4 and 5 slots in one pass
+        for order, dim, seed in [(3, 3, 7), (4, 2, 8), (2, 3, 9), (5, 3, 10), (6, 2, 11)]:
             t = random_tensor(order, dim, seed)
             xs = [random_vector(dim, 100 * seed + i) for i in range(order)]
             for slot in range(1, order + 1):
                 got = slot_slice(t, xs, slot)
+                assert got == reference_slot_slice(t, xs, slot)
                 for comp in range(dim):
                     unit = tuple(
                         F(1) if c == comp else F(0) for c in range(dim)
