@@ -19,12 +19,13 @@ from typing import Optional, Sequence
 
 from .degeneracy import KernelWitness, kernel_failure
 from .errors import InternalConsistencyError, SizeGuardError
-from .linalg import MAX_DET_SIZE
+from .linalg import MAX_DET_SIZE, refuse_row_bits
 from .rational import integer_values
 from .rng import SplitMix64
 from .tensor_space import Tensor
 
 MAX_PFAFFIAN = 8
+MAX_PFAFFIAN_BITS = 1 << 17  # on the rows' largest entries, summed: 8 CLI rows of 14,284 fit
 
 
 def random_skew_matrix(size: int, seed: int) -> list[list[int]]:
@@ -49,8 +50,8 @@ def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
     """Pfaffian of an even-size skew-symmetric matrix, by fraction-free skew elimination.
 
     Squares to the determinant.  The shape is checked before any entry is read, the
-    common denominator d against the intake's budget before d^(size/2) is built.
-    It eliminates d * A over integers: Pf(A) = Pf(dA) / d^(size/2)."""
+    common denominator d against the intake's budget before d^(size/2) is built.  It
+    eliminates d * A, under MAX_PFAFFIAN_BITS, over integers: Pf(A) = Pf(dA) / d^(size/2)."""
     size = len(matrix)
     if size % 2:
         raise ValueError("Pfaffian needs an even-size matrix")
@@ -62,6 +63,7 @@ def pfaffian(matrix: Sequence[Sequence]) -> Fraction:
     m = [nums[i * size : (i + 1) * size] for i in range(size)]
     if any(m[i][j] != -m[j][i] for i in range(size) for j in range(i, size)):
         raise ValueError("matrix is not skew-symmetric")
+    refuse_row_bits("pfaffian", m, MAX_PFAFFIAN_BITS)
     return Fraction(_integer_pfaffian(m), den ** (size // 2))
 
 

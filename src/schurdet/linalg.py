@@ -10,12 +10,20 @@ from .rational import MAX_DENOMINATOR_BITS, integer_values
 
 MAX_DET_SIZE = 65
 MAX_DET_BITS = 1024  # bound on the sum over the rows of the largest entry's bit length
+MAX_RANK_BITS = 1 << 18  # the same for a rank: 900 at most in isotypic_rank, at p6n4
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Each row times the least positive integer that clears it, and their product.
-    The shape is checked before any entry is read; the rows' denominators share one
-    MAX_DENOMINATOR_BITS budget, as a `Tensor`'s does."""
+def refuse_row_bits(what: str, rows: list[list[int]], limit: int) -> None:
+    """SizeGuardError when the integer rows' largest entries' bit lengths sum past limit."""
+    bits = sum(max(map(int.bit_length, row)) for row in rows) if rows and rows[0] else 0
+    if bits > limit:
+        raise SizeGuardError(f"{what} rows' largest entries sum to {bits} bits > {limit}")
+
+
+def _integer_rows(rows, what: str, limit: int) -> tuple[list[list[int]], int]:
+    """Each row times the least positive integer that clears it, and their product, refused
+    past limit bits.  The shape is checked before any entry is read; the rows' denominators
+    share one MAX_DENOMINATOR_BITS budget, as a `Tensor`'s does."""
     m = list(rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
@@ -24,6 +32,7 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
         m[i], den = integer_values(row, budget)
         budget -= den.bit_length() * len(row)
         scale *= den
+    refuse_row_bits(what, m, limit)
     return m, scale
 
 
@@ -57,8 +66,8 @@ def _eliminate(m: list[list[int]]) -> tuple[int, int]:
 
 
 def rank_exact(rows) -> int:
-    """Rank over the rationals, by fraction-free integer elimination."""
-    return _eliminate(_integer_rows(rows)[0])[0]
+    """Rank over the rationals, by fraction-free integer elimination, under MAX_RANK_BITS."""
+    return _eliminate(_integer_rows(rows, "rank", MAX_RANK_BITS)[0])[0]
 
 
 def det_exact(rows) -> Fraction:
@@ -72,8 +81,5 @@ def det_exact(rows) -> Fraction:
         raise SizeGuardError(f"determinant supports at most {MAX_DET_SIZE} rows, got {len(rows)}")
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
-    m, scale = _integer_rows(rows)
-    bits = sum(max(map(int.bit_length, row)) for row in m)
-    if bits > MAX_DET_BITS:
-        raise SizeGuardError(f"determinant rows' largest entries sum to {bits} bits > {MAX_DET_BITS}")
+    m, scale = _integer_rows(rows, "determinant", MAX_DET_BITS)
     return Fraction(_eliminate(m)[1], scale)

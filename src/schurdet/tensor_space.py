@@ -13,16 +13,17 @@ terms, and the kernels here work on those integers; scalars are Fractions at
 the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
 One coefficient over a whole Young subgroup acts by orbit sums, the differences
 of running sums at the orbits' ends in a layout cached by the subgroup's blocks;
-any other element by its cached integer matrix on each weight space.  Spaces whose
-digit counts agree up to order share one matrix, and a type the element kills has
-none, so a projection and `isotypic_rank` visit only the types it keeps.  Every product of
-vectors (`rank_one`'s, a contraction's) is formed by `_outer`, and `_pair` pairs it with the
-leading or trailing slots.
+any other element by its cached integer matrix on each weight space, the columns packed
+in integer lanes so that a space's outputs take one multiply-add per entry.  Spaces whose digit
+counts agree up to order share one matrix, and a type the element kills has none, so a projection
+and `isotypic_rank` visit only the types it keeps.  Every product of vectors (`rank_one`'s, a
+contraction's) is formed by `_outer`, and `_pair` pairs it with the leading or trailing slots.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,9 +245,15 @@ def _young_layout(element: AlgebraElement, tensor: Tensor) -> tuple | None:
     return young[0], layout, layout[1](list(itertools.accumulate(layout[0](tensor.nums))))
 
 
+def _packed(rows: tuple, width: int) -> tuple[int, ...]:
+    """Each column j of the rows as one integer, sum_i rows[i][j] * 2**(width * i)."""
+    return tuple(sum(v << width * i for i, v in enumerate(column)) for column in zip(*rows))
+
+
 @lru_cache(maxsize=32)  # keyed by coefficients, so scaled copies must not pile up
 def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
-    """An element's integer matrix on each weight type, as (rows, spaces) pairs.
+    """An element's integer matrix on each weight type, as (blocks, scatter, gather), where
+    blocks holds one (rows, spaces, columns) triple per type.
 
     A slot permutation keeps each word's digit counts and commutes with relabelling
     the digits, so spaces whose counts agree up to order (one type, the counts
@@ -255,7 +262,8 @@ def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
     takes from each of its words.  Each of `spaces` lists a space's flat indices as
     the relabelled representative words, so row i belongs to spaces[s][i].  Rows
     are tuples, shared by `algebra_action` and `isotypic_rank`; a type the element
-    kills is absent.
+    kills is absent.  `columns` are the rows `_packed` in 64-bit lanes; `scatter` takes a
+    tensor's entries to block, space and row order, killed types last, and `gather` back.
     """
     flat = {w: f for f, w in enumerate(itertools.product(range(dim), repeat=degree))}
     spaces: dict[tuple, list] = {}
@@ -273,8 +281,12 @@ def _weight_blocks(terms: frozenset, degree: int, dim: int) -> tuple:
     for images, coeff in terms:  # word w takes the word with w_j in slot k, images[k-1] = j
         for row, j in zip(rows, map(local.__getitem__, zip(*map(columns.__getitem__, (0, *images))))):
             row[j] += coeff
-    kept = [(b, s) for b, (_, s) in zip(blocks, types.values()) if any(map(any, b))]
-    return tuple((tuple(map(tuple, b)), tuple(s)) for b, s in kept)
+    kept = [(tuple(map(tuple, b)), tuple(s)) for b, (_, s) in zip(blocks, types.values()) if any(map(any, b))]
+    order = [f for _, spaces in kept for indices in spaces for f in indices]
+    order += set(range(len(flat))).difference(order)  # then the killed types' indices
+    inverse = sorted(range(len(order)), key=order.__getitem__)  # one entry: both are tuple
+    scatter, gather = (itemgetter(*o) if len(o) > 1 else tuple for o in (order, inverse))
+    return tuple((rows, spaces, _packed(rows, 64)) for rows, spaces in kept), scatter, gather
 
 
 def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
@@ -282,20 +294,29 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
 
     One coefficient c over a whole Young subgroup S_B takes one pass of orbit
     sums, (c * sum of h . A over S_B)_i = c * |Stab(i)| * (sum of A over the
-    orbit of i).  Any other element multiplies each weight space's entries by
-    its cached `_weight_blocks` matrix, one sum of products per entry.  The
-    denominators' product is refused by size first.
+    orbit of i).  Any other element takes each weight space's entries v to the lanes
+    of sum_j v_j * columns[j] of its cached `_weight_blocks`: |output| < 2**bits, the
+    bit lengths of max|v|, max|c| and the support size summed, so lanes of whole words
+    past bits hold it, each biased by 2**(w-1) and flipped back to two's complement.
+    The denominators' product is refused by size first.
     """
     refuse_denominators("acted", (element.den, tensor.den), len(tensor.nums))
     young = _young_layout(element, tensor)
     entries = tensor.nums
     if young is None:
-        out = [0] * len(entries)
-        for rows, spaces in _weight_blocks(element.term_set, element.degree, tensor.dim):
-            for indices in spaces:
-                column = [entries[f] for f in indices]
-                for f, row in zip(indices, rows):
-                    out[f] = sum(map(mul, row, column))
+        blocks, scatter, gather = _weight_blocks(element.term_set, element.degree, tensor.dim)
+        bits = max(map(abs, entries)).bit_length() + element._bits + len(element.nums).bit_length()
+        step = 8 * (bits // 64 + 1)  # bytes per lane: whole words, with room for the sign
+        values, lanes = iter(scatter(entries)), []
+        for rows, spaces, columns in blocks:
+            columns = columns if step == 8 else _packed(rows, 8 * step)
+            bias = int.from_bytes((bytes(step - 1) + b"\x80") * len(rows), "little")
+            for _ in spaces:  # columns first, so that map takes only len(rows) values
+                data = (sum(map(mul, columns, values), bias) ^ bias).to_bytes(step * len(rows), "little")
+                lanes += array("q", data) if step == 8 else [
+                    int.from_bytes(data[i : i + step], "little", signed=True) for i in range(0, len(data), step)
+                ]
+        out = gather(lanes + [0] * (len(entries) - len(lanes)))
     else:
         coeff, (_, _, spread, stab), ends = young
         sums = list(map(sub, ends, (0,) + ends[:-1]))
@@ -406,8 +427,8 @@ def isotypic_rank(lam: Partition, dim: int) -> int:
     """
     _dense_size(lam.weight, dim)
     projector, _ = isotypic_projector(lam)
-    blocks = _weight_blocks(projector.term_set, lam.weight, dim)
-    return sum(rank_exact(rows) * len(spaces) for rows, spaces in blocks)
+    blocks = _weight_blocks(projector.term_set, lam.weight, dim)[0]
+    return sum(rank_exact(rows) * len(spaces) for rows, spaces, _ in blocks)
 
 
 def random_tensor(order: int, dim: int, seed: int) -> Tensor:

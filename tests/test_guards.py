@@ -5,8 +5,9 @@ Every denominator here is a power of 3 or 5 of hundreds of thousands of bits, ea
 the budget of `MAX_DENOMINATOR_BITS` alone; the rows combine them past it.  The integer
 rows do the same with numerators: a product of vectors (a contraction's, `rank_one`'s)
 counts the bit lengths of its vectors' largest entries, summed, once per entry, and an
-algebra product its factors' largest coefficients once per term.  The command line turns the
-refusal into exit code 2 and one `error:` line.
+algebra product its factors' largest coefficients once per term; an elimination (a rank, a
+determinant, a Pfaffian) sums the bit lengths of its integer rows' largest entries.  The
+command line turns the refusal into exit code 2 and one `error:` line.
 """
 
 import itertools
@@ -33,6 +34,7 @@ from schurdet import (
     kernel_failure,
     pfaffian,
     random_tensor,
+    rank_exact,
     rank_one,
     slot_slice,
     substitution_values,
@@ -58,6 +60,11 @@ HUGE = (3 ** (2**19), 0, 1)  # an integer vector whose largest entry has 830,977
 Z5 = Tensor.zero(5, 3)  # the first slice or value refuses before a zero chain can end the walk
 # six integer coefficients of 830,977 bits: their square counts 1,661,954 bits per term
 S3 = AlgebraElement(3, {g: HUGE[0] + k for k, g in enumerate(all_permutations(3))})
+# integer matrices of 830,977-bit entries: the rows' largest entries sum past the bit bounds
+WIDE4 = [[HUGE[0] // (4 * i + j + 2) for j in range(4)] for i in range(4)]
+SKEW8 = [
+    [(HUGE[0] + 8 * min(i, j) + max(i, j)) * ((j > i) - (i > j)) for j in range(8)] for i in range(8)
+]
 
 
 def hyperdet_input() -> int:
@@ -81,6 +88,8 @@ GUARDS = {
     "AlgebraElement.__mul__, integer coefficients": lambda: S3 * S3,
     "det_exact": lambda: det_exact([[TINY if i == j else 0 for j in range(3)] for i in range(3)]),
     "pfaffian": lambda: pfaffian([[0, TINY, 0, 0], [-TINY, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
+    "pfaffian, integer entries": lambda: pfaffian(SKEW8),
+    "rank_exact, integer entries": lambda: rank_exact(WIDE4),
     "KernelWitness": lambda: KernelWitness([(TINY,) * 6]),
     "contract_first": lambda: contract_first(T5, (TINY, 0, 1)),
     "slot_slice": lambda: slot_slice(T5, [(TINY, 0, 1)] * 5, 1),

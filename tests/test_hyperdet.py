@@ -124,6 +124,19 @@ class TestPfaffian:
         with pytest.raises(SizeGuardError):
             pfaffian([[0.5] * 10] * 10)
 
+    def test_entry_bits_at_and_past_the_bound(self, monkeypatch):
+        """Eight rows of 16,384 bits fill the bound; two entries one bit wider pass it."""
+        assert hyperdet.MAX_PFAFFIAN_BITS == 1 << 17
+        v = 1 << (1 << 14) - 1
+        blocks = [[0] * 8 for _ in range(8)]
+        for k in range(0, 8, 2):
+            blocks[k][k + 1], blocks[k + 1][k] = v, -v
+        assert pfaffian(blocks) == v**4
+        blocks[0][1], blocks[1][0] = 2 * v, -2 * v
+        monkeypatch.setattr(hyperdet, "_integer_pfaffian", None)  # refused before elimination
+        with pytest.raises(SizeGuardError, match="sum to 131074 bits > 131072"):
+            pfaffian(blocks)
+
     @settings(max_examples=30)
     @given(seeds, st.sampled_from([2, 4, 6, 8]))
     def test_square_is_the_determinant(self, seed, size):

@@ -120,6 +120,15 @@ class TestInputContract:
             with pytest.raises(SizeGuardError, match="sum to 1025 bits > 1024"):
                 det_exact(m)
 
+    def test_rank_bits_at_and_past_the_bound(self, monkeypatch):
+        """Rank shares the check with its own bound, wide enough for cleared denominators."""
+        assert linalg.MAX_RANK_BITS == 1 << 18
+        half = 1 << (1 << 17) - 1  # 131,072 bits
+        assert rank_exact([[half, 0], [0, -half]]) == 2
+        monkeypatch.setattr(linalg, "_eliminate", None)  # the guard fires before elimination
+        with pytest.raises(SizeGuardError, match="rank rows' largest entries sum to 262145 bits"):
+            rank_exact([[half, 0], [0, 2 * half]])
+
     def test_denominators_past_the_bound(self):
         coprime = [f"1/{10**997 + 2 * k + 1}" for k in range(65)]
         with pytest.raises(SizeGuardError, match="common denominator"):

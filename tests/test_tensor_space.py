@@ -347,6 +347,81 @@ class TestAlgebraAction:
         assert info.misses == 500 and info.currsize <= 32
 
 
+class TestPackedLanes:
+    """The block products in packed integer lanes, at the edges of their width rule."""
+
+    # five coefficients of 1 off the identity: not a Young sum, and 1 + 3 bits of headroom
+    SPREAD = AlgebraElement(3, dict.fromkeys(all_permutations(3)[1:], 1))
+
+    @staticmethod
+    def widths(monkeypatch):
+        """Each width `_packed` is called with from now on: 64 when blocks are built, more for
+        an input too wide for one-word lanes."""
+        seen, packed = [], tensor_space._packed
+        monkeypatch.setattr(
+            tensor_space, "_packed", lambda rows, width: seen.append(width) or packed(rows, width)
+        )
+        return seen
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_values_past_one_word(self, data):
+        t = data.draw(fraction_tensors())
+        t = t.scale(data.draw(st.integers(2**64, 2**200)) * data.draw(st.sampled_from([1, -1])))
+        element = data.draw(elements(t.order))
+        assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    @pytest.mark.parametrize("top, words", [(2**59 - 1, 1), (2**59, 2)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_word_then_two(self, monkeypatch, top, words, sign):
+        # |out| < 2**(bits(max|v|) + 1 + 3): below 2**63 fits one signed word, below 2**64 takes two
+        element = self.SPREAD
+        assert element._bits + len(element.nums).bit_length() == 4
+        t = Tensor(3, 2, [sign * top, -sign * top, top - 1, 0, sign, top // 3, -top, 2])
+        widths = self.widths(monkeypatch)
+        assert algebra_action(element, t) == reference_algebra_action(element, t)
+        assert {w for w in widths if w > 64} == ({128} if words == 2 else set())
+
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63, -(2**63) + 1, -(2**63), 2**64 - 1])
+    def test_outputs_at_the_signed_word_edges(self, value):
+        # the swap alone is not a Young sum; at dimension 1 it returns the entry itself
+        swap = AlgebraElement(2, {Permutation([2, 1]): 1})
+        assert algebra_action(swap, Tensor(2, 1, [value])) == Tensor(2, 1, [value])
+        t = Tensor(2, 2, [value, 1, -value, value - 1])
+        assert algebra_action(swap, t) == Tensor(2, 2, [value, -value, 1, value - 1])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_degree_one(self, dim):
+        # every nonzero element of degree 1 is a Young sum; the zero element takes the blocks
+        t = Tensor(1, dim, [F(2**70 + k) / 3 for k in range(dim)])
+        assert algebra_action(AlgebraElement(1), t) == Tensor.zero(1, dim)
+        scaled = AlgebraElement.unit(1).scale(-(2**65))
+        assert algebra_action(scaled, t) == reference_algebra_action(scaled, t)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_dimension_one(self, order):
+        # one entry: the scatter and the gather are the identity, never a bare value
+        odd = [p for p in all_permutations(order) if p.sign < 0] or [Permutation([1])]
+        for element in (AlgebraElement(order, dict.fromkeys(odd, Fraction(-3, 2))), AlgebraElement(order)):
+            for value in (Fraction(7, 5), -(2**80) - 1, 0):
+                t = Tensor(order, 1, [value])
+                assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    @pytest.mark.parametrize("order, dim", [(2, 3), (4, 2), (5, 3)])
+    def test_zero_element_and_zero_tensor(self, order, dim):
+        zero = AlgebraElement(order)
+        z = isotypic_projector(P(order - 1, 1))[0]
+        assert algebra_action(zero, random_tensor(order, dim, 5)) == Tensor.zero(order, dim)
+        assert algebra_action(z, Tensor.zero(order, dim)) == Tensor.zero(order, dim)
+
+    def test_an_element_that_kills_every_weight_type(self):
+        # z_(1^5) at n = 3 applied directly, without project_isotypic's row test
+        z = isotypic_projector(P(1, 1, 1, 1, 1))[0]
+        assert tensor_space._weight_blocks(z.term_set, 5, 3)[0] == ()
+        for t in (random_tensor(5, 3, 9), random_tensor(5, 3, 9).scale(3**200 + 7)):
+            assert algebra_action(z, t) == Tensor.zero(5, 3)
+
+
 class TestDenominatorClearing:
     """The integer kernel against plain Fraction loops, on non-integer entries."""
 
@@ -788,11 +863,11 @@ class TestIsotypicRank:
     def test_one_block_per_weight_type(self, order, dim):
         words = list(itertools.product(range(dim), repeat=order))
         lam = P(order - 1, 1)
-        blocks = tensor_space._weight_blocks(isotypic_projector(lam)[0].term_set, order, dim)
+        blocks = tensor_space._weight_blocks(isotypic_projector(lam)[0].term_set, order, dim)[0]
         kept = [f for f, w in enumerate(words) if dominance_leq(self.weight_type(w), lam)]
-        flats = [f for _, spaces in blocks for indices in spaces for f in indices]
+        flats = [f for _, spaces, _ in blocks for indices in spaces for f in indices]
         assert sorted(flats) == kept  # the spaces partition the indices of the types lam dominates
-        for rows, spaces in blocks:
+        for rows, spaces, _ in blocks:
             assert len(rows) == len(spaces[0])
             counts = [words[spaces[0][0]].count(d) for d in range(dim)]
             assert counts == sorted(counts, reverse=True)  # the representative comes first
@@ -803,7 +878,7 @@ class TestIsotypicRank:
                 relabel = dict(pairs)
                 assert len(pairs) == len(relabel) == len(set(relabel.values()))
         parts = [mu for mu in all_partitions(order) if mu.rows <= dim and dominance_leq(mu, lam)]
-        types = sorted(self.weight_type(words[spaces[0][0]]).parts for _, spaces in blocks)
+        types = sorted(self.weight_type(words[spaces[0][0]]).parts for _, spaces, _ in blocks)
         assert types == sorted(mu.parts for mu in parts)  # one block per type lam dominates, no other
 
     def test_vanishing_blocks_are_the_types_lam_does_not_dominate(self):
@@ -813,9 +888,9 @@ class TestIsotypicRank:
         space_sizes = Counter(tuple(sorted(w)) for w in words)
         skipped = {}
         for lam in all_partitions(5):
-            blocks = tensor_space._weight_blocks(isotypic_projector(lam)[0].term_set, 5, 3)
-            assert all(any(map(any, rows)) for rows, _ in blocks)
-            kept = {self.weight_type(words[spaces[0][0]]) for _, spaces in blocks}
+            blocks = tensor_space._weight_blocks(isotypic_projector(lam)[0].term_set, 5, 3)[0]
+            assert all(any(map(any, rows)) for rows, _, _ in blocks)
+            kept = {self.weight_type(words[spaces[0][0]]) for _, spaces, _ in blocks}
             assert len(kept) == len(blocks)
             assert kept == {mu for mu in all_partitions(5) if mu.rows <= 3 and dominance_leq(mu, lam)}
             skipped[lam.parts] = sum(
