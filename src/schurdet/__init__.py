@@ -25,7 +25,6 @@ from .hyperdet import (
     hyperdet_222,
     pfaffian,
     random_skew_matrix,
-    schlafli_coefficients,
 )
 from .linalg import det_exact, rank_exact
 from .partitions import (
@@ -47,7 +46,7 @@ from .perm_algebra import (
     young_symmetrizer,
 )
 from .rational import as_fraction
-from .rng import SplitMix64, derived_seed
+from .rng import SplitMix64
 from .tensor_space import (
     Tensor,
     algebra_action,
@@ -86,7 +85,6 @@ __all__ = [
     "critical_set",
     "degeneracy_crosscheck_222",
     "degeneracy_sweep",
-    "derived_seed",
     "det_exact",
     "dominance_leq",
     "evaluate",
@@ -104,7 +102,6 @@ __all__ = [
     "random_vector",
     "rank_exact",
     "rank_one",
-    "schlafli_coefficients",
     "slot_slice",
     "slot_system_eigencheck",
     "slot_system_matrix",

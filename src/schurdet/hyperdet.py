@@ -102,12 +102,6 @@ def _pencil(tensor: Tensor) -> tuple[int, int, int]:
     return b0, b1, b2
 
 
-def schlafli_coefficients(tensor: Tensor) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (b0, b1, b2) of det(A0 + t A1) in t: minors of the numerators over den^2."""
-    scale = tensor.den**2
-    return tuple(Fraction(b, scale) for b in _pencil(tensor))
-
-
 def hyperdet_222(tensor: Tensor) -> Fraction:
     """Degree-4 degeneracy invariant of a 2 x 2 x 2 tensor: b1^2 - 4 b0 b2 over den^4.
 

@@ -61,14 +61,6 @@ class Partition:
         """The i-th part (0-based), with trailing zeros past the last row."""
         return self.parts[i] if 0 <= i < len(self.parts) else 0
 
-    def conjugate(self) -> Partition:
-        """Transpose of the diagram: part i = number of parts >= i+1."""
-        if not self.parts:
-            return self
-        return Partition(
-            sum(1 for v in self.parts if v > i) for i in range(self.parts[0])
-        )
-
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.parts) + ")"
 
@@ -110,19 +102,6 @@ class SetPartition:
         if "_shape" not in vars(self):
             vars(self)["_shape"] = Partition(sorted(map(len, self.blocks), reverse=True))
         return vars(self)["_shape"]
-
-    def refines(self, other: SetPartition) -> bool:
-        """True iff every block of self sits inside some block of other."""
-        if self.ground_size != other.ground_size:
-            raise ValueError("set partitions live on different ground sets")
-        containing = {}
-        for block in other.blocks:
-            for x in block:
-                containing[x] = block
-        return all(
-            all(containing[x] is containing[block[0]] for x in block)
-            for block in self.blocks
-        )
 
     def __str__(self) -> str:
         return "{" + ", ".join(

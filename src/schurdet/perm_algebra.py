@@ -71,12 +71,6 @@ class Permutation:
             raise ValueError("cannot compose permutations of different degrees")
         return Permutation(self.images[j - 1] for j in other.images)
 
-    def inverse(self) -> Permutation:
-        images = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
-            images[j - 1] = i
-        return Permutation(images)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Orbits of the permutation, fixed points included, as sorted-start cycles."""
         seen: set[int] = set()

@@ -13,9 +13,8 @@ Bounded draws use rejection sampling on the top of the 64-bit range, so they
 are exactly uniform: a draw from the m values lo..hi takes outputs until one,
 u, is below 2**64 - (2**64 mod m), and returns lo + (u mod m).  Sub-case seeds
 are successive raw outputs of one generator seeded with the parent seed.
-After k steps the state is seed + k * 0x9E3779B97F4A7C15 mod 2**64, so
-``derived_seed(seed, k)`` starts a generator at that state and takes one step.
-A batch of k steps runs at once, step j in the 128-bit lane j of one integer,
+After k steps the state is seed + k * 0x9E3779B97F4A7C15 mod 2**64, so a
+batch of k steps runs at once, step j in the 128-bit lane j of one integer,
 state * ONES + STEPS masked by LOW to 64 bits a lane; it draws again only for
 the outputs it rejected, so it gives the outputs and end state of k steps.
 """
@@ -67,10 +66,3 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         return self.next_ints(0, _MASK64, 1)[0]
-
-
-def derived_seed(seed: int, index: int) -> int:
-    """Seed for sub-case `index`: the (index+1)-th raw output of SplitMix64(seed)."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    return SplitMix64(seed + index * _GAMMA).next_u64()

@@ -15,7 +15,10 @@ expansion over copied minors, the 2x2x2 kernel probe search over the reference
 slot slices, and the Schläfli coefficients from Fraction 2 x 2 determinants of
 the first-index pencil (the library runs all three on integers; the pencil
 route lives only here), and SplitMix64 written from its specification (the
-library batches its draws).  Only data types come from schurdet, with one
+library batches its draws), with `derived_seed` jumping straight to a sub-case's
+state.  Two plain helpers the library has no use for live here too: `conjugate`,
+the transpose of a diagram, and `refines`, the refinement order on set
+partitions.  Only data types come from schurdet, with one
 exception: `reference_sweep` replays the sweep's trial sequence through the
 library's own checks, without the every-x pre-check, so that agreement pins the
 pre-check's shortcut rather than the arithmetic.
@@ -45,10 +48,24 @@ from schurdet import (
 )
 
 
+def conjugate(lam: Partition) -> Partition:
+    """Transpose of the diagram: part i counts the parts greater than i."""
+    return Partition(sum(1 for v in lam.parts if v > i) for i in range(lam.part(0)))
+
+
+def refines(fine: SetPartition, coarse: SetPartition) -> bool:
+    """Whether every block of fine sits inside one block of coarse; ValueError on
+    different ground sets."""
+    if fine.ground_size != coarse.ground_size:
+        raise ValueError("set partitions live on different ground sets")
+    block_of = {x: block for block in coarse.blocks for x in block}
+    return all(block_of[x] is block_of[block[0]] for block in fine.blocks for x in block)
+
+
 def hook_length_count(lam: Partition) -> int:
     """Standard tableau count through the hook length product formula."""
     parts = lam.parts
-    conj = lam.conjugate().parts
+    conj = conjugate(lam).parts
     prod = 1
     for i, row in enumerate(parts):
         for j in range(row):
@@ -195,7 +212,7 @@ def reference_central_sum(lam: Partition) -> AlgebraElement:
     terms: dict = {}
     c = list(reference_young_symmetrizer(lam).terms)
     for g in _permutations(lam.weight):
-        g_inv = g.inverse()
+        g_inv = Permutation(sorted(range(1, g.degree + 1), key=g))  # g_inv(i): the j with g(j) = i
         for sigma, coeff in c:
             conj = g * sigma * g_inv
             terms[conj] = terms.get(conj, Fraction(0)) + coeff
@@ -394,6 +411,12 @@ class ReferenceSplitMix64:
             u = self.raw()
             if u < 2**64 - 2**64 % m:
                 return lo + u % m
+
+
+def derived_seed(seed: int, index: int) -> int:
+    """Seed for sub-case `index`: the (index+1)-th raw output of SplitMix64(seed), taken
+    in one step from the state seed + index * 0x9E3779B97F4A7C15 that index steps reach."""
+    return ReferenceSplitMix64(seed + index * 0x9E3779B97F4A7C15).raw()
 
 
 def reference_sweep(lam: Partition, dim: int, trials: int, seed: int) -> DegeneracyReport:

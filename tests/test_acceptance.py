@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import oracles
+from oracles import derived_seed
 from schurdet import (
     KernelWitness,
     Partition,
@@ -21,7 +22,6 @@ from schurdet import (
     critical_set,
     degeneracy_crosscheck_222,
     degeneracy_sweep,
-    derived_seed,
     det_exact,
     evaluate,
     hyperdet_222,

@@ -14,7 +14,10 @@ Every name a module imports is used in it (``__init__`` re-exports, so it is
 exempt).
 
 The package's public surface is pinned too: ``schurdet.__all__`` is sorted,
-unique, and lists exactly the public names ``__init__`` imports.
+unique, and lists exactly the public names ``__init__`` imports.  Every public
+top-level function and every public method of a public class has a caller
+outside its own body, in the package or in ``perfbench/``, unless ``KEPT`` gives
+the reason it stays; ``__init__`` only re-exports, so its imports are not calls.
 """
 
 import ast
@@ -25,6 +28,17 @@ import pytest
 import schurdet
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schurdet"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public functions and methods that nothing in the package or perfbench/ calls, and why
+# each stays.
+KEPT = {
+    "young_symmetrizer": "the paper's construction; acceptance criterion 6 checks z_λ against it",
+    "Tensor.entry": "a data type's reader: the oracles read a tensor one index at a time",
+    "AlgebraElement.unit": "a data type's constructor: the identity of the group algebra",
+    "AlgebraElement.coefficient": "a data type's reader: the coefficient of one permutation",
+    "Permutation.from_cycles": "a data type's constructor: a permutation in cycle notation",
+}
 
 
 def is_private(name: str) -> bool:
@@ -177,3 +191,69 @@ def test_all_lists_exactly_the_imported_public_names():
         for alias in node.names
     }
     assert {name for name in imported if not is_private(name)} == set(names)
+
+
+def public_definitions(tree: ast.Module):
+    """(definition, qualified name, reference kinds that count) for each public top-level
+    function and each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, node.name, {"name", "import", "attribute"}
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield member, f"{node.name}.{member.name}", {"attribute"}
+
+
+def unreferenced(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """The public functions and methods the package sources define that no code in package
+    or others refers to outside the definition's own body: a method by attribute access,
+    a function by name, import or attribute."""
+    trees = [ast.parse(source) for source in [*package.values(), *others.values()]]
+    references = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                references.append((node, "attribute", node.attr))
+            elif isinstance(node, ast.Name):
+                references.append((node, "name", node.id))
+            elif isinstance(node, ast.ImportFrom):
+                references += [(node, "import", alias.name) for alias in node.names]
+    found = []
+    for tree in trees[: len(package)]:
+        for definition, qualified, kinds in public_definitions(tree):
+            own = set(ast.walk(definition))
+            if not any(
+                name == definition.name and kind in kinds and node not in own
+                for node, kind, name in references
+            ):
+                found.append(qualified)
+    return sorted(found)
+
+
+def test_every_public_function_and_method_has_a_caller_or_a_reason():
+    package = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    benchmark = {p.name: p.read_text() for p in PERFBENCH.glob("*.py")}
+    assert unreferenced(package, benchmark) == sorted(KEPT)
+
+
+def test_the_surface_check_matches_methods_by_attribute_and_functions_by_any_reference():
+    package = {
+        "a.py": (
+            "class C:\n"
+            "    def called(self): pass\n"
+            "    def named(self): pass\n"
+            "    def loops(self): return self.loops()\n"
+            "    def _private(self): pass\n"
+            "class _Hidden:\n"
+            "    def method(self): pass\n"
+            "def imported(): pass\n"
+            "def read(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def benchmarked(): pass\n"
+        ),
+        "b.py": "from .a import imported\nc.called()\nnamed\nmodule.read\n",
+    }
+    others = {"run.py": "from schurdet.a import benchmarked\n"}
+    assert unreferenced(package, others) == ["C.loops", "C.named", "recursive"]
+    assert unreferenced(package, {}) == ["C.loops", "C.named", "benchmarked", "recursive"]

@@ -25,10 +25,12 @@ from schurdet import (
 from schurdet import perm_algebra
 from schurdet.perm_algebra import multiply
 from oracles import (
+    conjugate,
     reference_central_sum,
     reference_class_mass_projector,
     reference_multiply,
     reference_young_symmetrizer,
+    refines,
 )
 
 
@@ -84,12 +86,6 @@ class TestPermutation:
     @given(perms4, perms4, perms4)
     def test_associative(self, a, b, c):
         assert (a * b) * c == a * (b * c)
-
-    @given(perms4)
-    def test_inverse(self, a):
-        e = Permutation.identity(4)
-        assert a * a.inverse() == e
-        assert a.inverse() * a == e
 
     @given(perms4, perms4)
     def test_sign_is_a_homomorphism(self, a, b):
@@ -456,7 +452,7 @@ class TestTableauGroups:
         for w in range(2, 7):
             for lam in all_partitions(w):
                 rows = math.prod(math.factorial(v) for v in lam.parts)
-                columns = math.prod(math.factorial(v) for v in lam.conjugate().parts)
+                columns = math.prod(math.factorial(v) for v in conjugate(lam).parts)
                 assert young_symmetrizer(lam).support_size == rows * columns
 
     def test_young_symmetrizer_of_a_row_and_a_column(self):
@@ -523,7 +519,7 @@ class TestPositiveElement:
             assert all(c == 1 for _, c in pos.terms)
             for g in all_permutations(4):
                 in_support = pos.coefficient(g) == 1
-                assert in_support == SetPartition(g.cycles()).refines(pi)
+                assert in_support == refines(SetPartition(g.cycles()), pi)
 
     def test_discrete_partition_gives_the_unit(self):
         pi = SetPartition([[1], [2], [3]])

@@ -12,7 +12,6 @@ from schurdet import (
     Permutation,
     Tensor,
     as_fraction,
-    derived_seed,
     evaluate,
     pfaffian,
     random_skew_matrix,
@@ -31,7 +30,6 @@ ROWS = {
         ValueError,
     ),
     "as_fraction, an int": (lambda: as_fraction(5), Fraction(5)),
-    "derived_seed, negative index": (lambda: derived_seed(1, -1), ValueError),
     "random_skew_matrix, negative size": (lambda: random_skew_matrix(-1, 0), ValueError),
     "pfaffian, ragged rows": (lambda: pfaffian([[0, 1], [-1]]), ValueError),
     "Tensor.entry, index tuple of another length": (lambda: T.entry((0,)), ValueError),

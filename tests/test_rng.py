@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurdet import SplitMix64, derived_seed, random_skew_matrix, random_tensor, random_vector
+from schurdet import SplitMix64, random_skew_matrix, random_tensor, random_vector
 
-from oracles import ReferenceSplitMix64
+from oracles import ReferenceSplitMix64, derived_seed
 
 seeds = st.integers(-(2**70), 2**70)
 # sizes of the range [lo, hi]: small ones, ones just above 2**63 (about half
@@ -25,11 +25,10 @@ def test_reference_output():
 @settings(max_examples=50)
 @given(st.integers(-(2**70), 2**70), st.integers(1, 40))
 def test_one_stream_gives_the_derived_seeds(seed, count):
-    # stepping one stream against jumping to each state
+    # the library's batched stream against the reference jumping to each state
     stream = SplitMix64(seed)
-    assert [stream.next_u64() for _ in range(count)] == [
-        derived_seed(seed, k) for k in range(count)
-    ]
+    assert stream.next_ints(0, 2**64 - 1, count) == [derived_seed(seed, k) for k in range(count)]
+    assert stream.next_u64() == derived_seed(seed, count)
 
 
 def test_a_far_derived_seed_is_one_jump():
@@ -37,6 +36,11 @@ def test_a_far_derived_seed_is_one_jump():
     start = time.perf_counter()
     assert derived_seed(5, 2_000_000) == 0x48ED3E2936B115A1
     assert time.perf_counter() - start < 0.5  # stepping there is 2,000,001 loop turns
+    # the library's batched stream, stepped there 4,096 outputs at a time, agrees
+    stream = SplitMix64(5)
+    for _ in range(2_000_000 // 4096):
+        stream.next_ints(0, 2**64 - 1, 4096)
+    assert stream.next_ints(0, 2**64 - 1, 2_000_001 % 4096)[-1] == 0x48ED3E2936B115A1
 
 
 @settings(max_examples=100)
