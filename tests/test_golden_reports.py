@@ -1,6 +1,6 @@
 """Golden `report --output json` documents: the gate for refactors.
 
-Every config p = 2..5, n = 1..3, and (p, n) = (4, 4), (5, 5), (6, 3) (default trials,
+Every config p = 2..5, n = 1..3, and (p, n) = (4, 4), (5, 4), (5, 5), (6, 3) (default trials,
 seed and max-mu) is rendered in-process and compared byte for byte with its
 checked-in file, `timings` removed because it is the only wall-clock field.
 Regenerate the files, after checking that a change of answer is intended, with
@@ -18,7 +18,7 @@ import pytest
 from schurdet.cli import SUITES, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIGS = [(p, n) for p in range(2, 6) for n in range(1, 4)] + [(4, 4), (5, 5), (6, 3)]
+CONFIGS = [(p, n) for p in range(2, 6) for n in range(1, 4)] + [(4, 4), (5, 4), (5, 5), (6, 3)]
 
 
 def golden_path(p: int, n: int) -> Path:
