@@ -12,7 +12,8 @@ A Tensor stores integer numerators over one positive denominator in lowest
 terms, and the kernels here work on those integers; scalars are Fractions at
 the API (`Tensor.entries`, `entry`, `contract_first`, `slot_slice`, `evaluate`).
 One coefficient over a whole Young subgroup acts by orbit sums, the differences
-of running sums at the orbits' ends in a layout cached by the subgroup's blocks;
+of running sums at the orbits' ends in a layout cached by the subgroup's blocks, built from
+each block's arrangements of its digit multisets with one stabiliser per orbit;
 any other element by its cached integer matrix on each weight space, the columns packed
 in integer lanes so that a space's outputs take one multiply-add per entry.  Spaces whose digit
 counts agree up to order share one matrix, and a type the element kills has none, so a projection
@@ -201,37 +202,34 @@ def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
     return Tensor._from_ints(tensor.order, tensor.dim, [nums[s] for s in table], tensor.den)
 
 
-def _orbit_table(blocks: tuple, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orbits of the Young subgroup S_B of the sorted blocks B on flat indices.
-
-    Each flat index's representative is the flat index of its digits sorted
-    within every block; its stabiliser order is |S_B| / |orbit|, with
-    |S_B| = prod |B_k|! taken from the block sizes.
-    """
-    order = sum(map(len, blocks))
-    # the sorted digits of every block, placed in block order, with their slots' weights
-    slots = [[k - 1 for k in b] for b in blocks]
-    weights = [dim ** (order - 1 - k) for block in slots for k in block]
-    rep = [
-        sum(map(mul, [d for block in slots for d in sorted(digits[k] for k in block)], weights))
-        for digits in itertools.product(range(dim), repeat=order)
-    ]
-    group_order = prod(factorial(len(b)) for b in blocks)
-    orbit_size = Counter(rep)
-    return tuple(rep), tuple(group_order // orbit_size[r] for r in rep)
-
-
 @lru_cache(maxsize=None)
 def _orbit_layout(blocks: tuple, dim: int) -> tuple:
-    """`_orbit_table` as (gather, ends, spread, stab): entries orbit by orbit, their running sums
-    at each orbit's end, and each index's sum from the orbit sums (differences of the ends)."""
-    rep, stab = _orbit_table(blocks, dim)
-    if len(rep) == 1:  # dim 1: one entry, which a one-index itemgetter would return bare
+    """Orbits of the Young subgroup S_B of the sorted blocks B on flat indices, as (gather, ends,
+    spread, stab): the entries orbit by orbit, their running sums at each orbit's end, each index's
+    orbit, and each orbit's stabiliser order |S_B| / |orbit|, with |S_B| = prod |B_k|!.
+
+    A block's words over its own slots, grouped by their sorted digits, are the arrangements of
+    one multiset, each kept as its flat contribution.  An orbit is one group per block, and its
+    members are the sums of one contribution from each, so only the words over one block are sorted.
+    """
+    order, orbits = sum(map(len, blocks)), [[0]]
+    for block in blocks:
+        weights = [dim ** (order - k) for k in block]
+        groups: dict[tuple, list] = {}
+        for word in itertools.product(range(dim), repeat=len(block)):
+            groups.setdefault(tuple(sorted(word)), []).append(sum(map(mul, word, weights)))
+        orbits = [[a + b for a in members for b in group] for members in orbits for group in groups.values()]
+    group_order = prod(factorial(len(b)) for b in blocks)
+    stab = tuple(group_order // len(members) for members in orbits)
+    gather = [f for members in orbits for f in members]
+    if len(gather) == 1:  # dim 1: one entry, which a one-index itemgetter would return bare
         return tuple, tuple, tuple, stab
-    order = sorted(range(len(rep)), key=rep.__getitem__)
-    last = {rep[f]: k for k, f in enumerate(order)}  # orbits in order, each at its last entry
-    index = {r: k for k, r in enumerate(last)}
-    return itemgetter(*order), itemgetter(*last.values()), itemgetter(*map(index.get, rep)), stab
+    spread = [0] * len(gather)
+    for k, members in enumerate(orbits):
+        for f in members:
+            spread[f] = k
+    ends = [end - 1 for end in itertools.accumulate(map(len, orbits))]
+    return itemgetter(*gather), itemgetter(*ends), itemgetter(*spread), stab
 
 
 def _young_layout(element: AlgebraElement, tensor: Tensor) -> tuple | None:
@@ -319,8 +317,7 @@ def algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
         out = gather(lanes + [0] * (len(entries) - len(lanes)))
     else:
         coeff, (_, _, spread, stab), ends = young
-        sums = list(map(sub, ends, (0,) + ends[:-1]))
-        out = [coeff * s * v for s, v in zip(stab, spread(sums))]
+        out = spread([coeff * s * v for s, v in zip(stab, map(sub, ends, (0,) + ends[:-1]))])
     return Tensor._from_ints(tensor.order, tensor.dim, out, element.den * tensor.den)
 
 

@@ -24,6 +24,7 @@ from schurdet import (
     degeneracy_sweep,
     det_exact,
     evaluate,
+    isotypic_projector,
     kernel_failure,
     positive_element,
     project_isotypic,
@@ -218,6 +219,9 @@ class TestPositiveEquations:
             critical_equation_failures(P(2, 1), random_tensor(2, 2, 1))
         with pytest.raises(ValueError):
             algebra_action(positive_element(SetPartition([[1, 2]])), random_tensor(3, 2, 1))
+        # an element that is not a Young sum takes the block route, which the same check guards
+        with pytest.raises(ValueError, match="degree"):
+            algebra_action(isotypic_projector(P(2, 1))[0], random_tensor(4, 2, 1))
 
 
 class TestSlotSystem:

@@ -18,9 +18,13 @@ unique, and lists exactly the public names ``__init__`` imports.  Every public
 top-level function and every public method of a public class has a caller
 outside its own body, in the package or in ``perfbench/``, unless ``KEPT`` gives
 the reason it stays; ``__init__`` only re-exports, so its imports are not calls.
+A method name that several public classes define cannot be matched to one class
+by its name, so each such ``Class.method`` needs a ``SHARED`` entry naming the
+function whose body calls it, and that body must refer to the name.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,21 @@ KEPT = {
     "AlgebraElement.unit": "a data type's constructor: the identity of the group algebra",
     "AlgebraElement.coefficient": "a data type's reader: the coefficient of one permutation",
     "Permutation.from_cycles": "a data type's constructor: a permutation in cycle notation",
+    "Tensor.to_json_obj": "a data type's JSON form: the inverse of `from_json_obj`",
+    "SetPartition.to_json_obj": "a data type's JSON form: a set partition's sorted blocks",
+}
+
+# For each public method whose name another public class also defines, the function
+# ("file stem.qualified name") whose body calls it on that class.
+SHARED = {
+    "SuiteConfig.to_json_obj": "cli.cmd_verify",
+    "CheckFailure.to_json_obj": "degeneracy.DegeneracyReport.to_json_obj",
+    "DegeneracyReport.to_json_obj": "workloads.Sweep.answer",
+    "Partition.to_json_obj": "degeneracy.DegeneracyReport.to_json_obj",
+    "Tensor.is_zero": "degeneracy.critical_equation_failures",
+    "AlgebraElement.is_zero": "workloads.Algebra.run",
+    "Tensor.scale": "tensor_space.Tensor.__sub__",
+    "AlgebraElement.scale": "perm_algebra.AlgebraElement.__neg__",
 }
 
 
@@ -205,11 +224,26 @@ def public_definitions(tree: ast.Module):
                     yield member, f"{node.name}.{member.name}", {"attribute"}
 
 
-def unreferenced(package: dict[str, str], others: dict[str, str]) -> list[str]:
+def functions(trees: dict[str, ast.Module]) -> dict[str, ast.FunctionDef]:
+    """Every top-level function and method of the parsed files, by "file stem.qualified name"."""
+    found = {}
+    for file, tree in trees.items():
+        stem = Path(file).stem
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{stem}.{node.name}." if isinstance(node, ast.ClassDef) else f"{stem}."
+            found.update((prefix + m.name, m) for m in members if isinstance(m, ast.FunctionDef))
+    return found
+
+
+def unreferenced(package: dict[str, str], others: dict[str, str], shared: dict[str, str]) -> list[str]:
     """The public functions and methods the package sources define that no code in package
     or others refers to outside the definition's own body: a method by attribute access,
-    a function by name, import or attribute."""
-    trees = [ast.parse(source) for source in [*package.values(), *others.values()]]
+    a function by name, import or attribute.  A method whose name several public classes
+    define counts only through its `shared` entry, whose named body refers to the name; an
+    entry for any other name is returned too, as stale."""
+    parsed = {file: ast.parse(source) for file, source in [*package.items(), *others.items()]}
+    trees = list(parsed.values())
     references = []
     for tree in trees:
         for node in ast.walk(tree):
@@ -219,22 +253,34 @@ def unreferenced(package: dict[str, str], others: dict[str, str]) -> list[str]:
                 references.append((node, "name", node.id))
             elif isinstance(node, ast.ImportFrom):
                 references += [(node, "import", alias.name) for alias in node.names]
-    found = []
-    for tree in trees[: len(package)]:
-        for definition, qualified, kinds in public_definitions(tree):
-            own = set(ast.walk(definition))
-            if not any(
+    definitions = [d for tree in trees[: len(package)] for d in public_definitions(tree)]
+    methods = Counter(definition.name for definition, qualified, _ in definitions if "." in qualified)
+    bodies = functions(parsed)
+    found = sorted(set(shared) - {q for d, q, _ in definitions if "." in q and methods[d.name] > 1})
+    for definition, qualified, kinds in definitions:
+        own = set(ast.walk(definition))
+        if "." in qualified and methods[definition.name] > 1:
+            body = bodies.get(shared.get(qualified), definition)
+            references_it = any(
+                isinstance(node, ast.Attribute) and node.attr == definition.name
+                for node in ast.walk(body)
+                if node not in own
+            )
+        else:
+            references_it = any(
                 name == definition.name and kind in kinds and node not in own
                 for node, kind, name in references
-            ):
-                found.append(qualified)
+            )
+        if not references_it:
+            found.append(qualified)
     return sorted(found)
 
 
 def test_every_public_function_and_method_has_a_caller_or_a_reason():
     package = {p.name: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
     benchmark = {p.name: p.read_text() for p in PERFBENCH.glob("*.py")}
-    assert unreferenced(package, benchmark) == sorted(KEPT)
+    assert unreferenced(package, benchmark, SHARED) == sorted(KEPT)
+    assert set(SHARED).isdisjoint(KEPT)
 
 
 def test_the_surface_check_matches_methods_by_attribute_and_functions_by_any_reference():
@@ -255,5 +301,32 @@ def test_the_surface_check_matches_methods_by_attribute_and_functions_by_any_ref
         "b.py": "from .a import imported\nc.called()\nnamed\nmodule.read\n",
     }
     others = {"run.py": "from schurdet.a import benchmarked\n"}
-    assert unreferenced(package, others) == ["C.loops", "C.named", "recursive"]
-    assert unreferenced(package, {}) == ["C.loops", "C.named", "benchmarked", "recursive"]
+    assert unreferenced(package, others, {}) == ["C.loops", "C.named", "recursive"]
+    assert unreferenced(package, {}, {}) == ["C.loops", "C.named", "benchmarked", "recursive"]
+
+
+def test_the_surface_check_matches_a_shared_method_name_only_in_its_named_body():
+    package = {
+        "a.py": (
+            "class A:\n"
+            "    def dump(self): pass\n"
+            "    def only(self): pass\n"
+            "class B:\n"
+            "    def dump(self): return self.dump()\n"
+            "class C:\n"
+            "    def dump(self): pass\n"
+            "class D:\n"
+            "    def dump(self): pass\n"
+            "def _writes(a): return a.dump()\n"
+            "def _reads(a): return a.only()\n"
+        ),
+    }
+    others = {"run.py": "class Runner:\n    def go(self, b): return b.dump()\n"}
+    # A's entry names a body that calls it, and so does B's, in another file; B's own
+    # recursion does not count, C's named body calls another name, and D has no entry
+    shared = {"A.dump": "a._writes", "B.dump": "run.Runner.go", "C.dump": "a._reads"}
+    assert unreferenced(package, others, shared) == ["C.dump", "D.dump"]
+    assert unreferenced(package, others, {"B.dump": "a.B.dump"}) == ["A.dump", "B.dump", "C.dump", "D.dump"]
+    # a name one public class defines still matches any attribute access, and needs no entry
+    assert "A.only" not in unreferenced(package, others, {})
+    assert unreferenced(package, others, {**shared, "A.only": "a._reads"}) == ["A.only", "C.dump", "D.dump"]

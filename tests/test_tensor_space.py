@@ -494,10 +494,24 @@ def young_terms(pi, coeff):
     return {perm: coeff for perm, _ in positive_element(pi).terms}
 
 
+def layout_orbits(blocks, dim):
+    """The orbits of `_orbit_layout(blocks, dim)` (gather cut at ends), each flat index's orbit
+    (spread) and the orbits' stabiliser orders."""
+    gather, ends, spread, stab = tensor_space._orbit_layout(blocks, dim)
+    size = dim ** sum(map(len, blocks))
+    flat, cuts = gather(range(size)), ends(range(size))
+    orbits = [flat[start + 1 : end + 1] for start, end in zip((-1,) + cuts, cuts)]
+    return orbits, spread(range(len(orbits))), stab
+
+
 def orbit_table(terms, dim):
-    """The orbit table of the terms' support when it is a whole Young subgroup, else None."""
+    """Each flat index's orbit minimum and stabiliser order, from the layout of the terms'
+    support when it is a whole Young subgroup, else None."""
     blocks = young_blocks(frozenset(perm.images for perm in terms))
-    return None if blocks is None else tensor_space._orbit_table(blocks, dim)
+    if blocks is None:
+        return None
+    orbits, spread, stab = layout_orbits(blocks, dim)
+    return [min(orbits[k]) for k in spread], [stab[k] for k in spread]
 
 
 def is_young(terms, dim):
@@ -535,6 +549,39 @@ class TestYoungSubgroupSums:
                 terms[perm] = coeff
         element = AlgebraElement(t.order, terms)
         assert algebra_action(element, t) == reference_algebra_action(element, t)
+
+    @staticmethod
+    def assert_brute_force_orbits(blocks, dim):
+        """The layout's orbits, spread and stabilisers against S_B enumerated by permuting
+        each block's points among themselves."""
+        order = sum(map(len, blocks))
+        group = []
+        for arrangement in itertools.product(*map(itertools.permutations, blocks)):
+            images = [0] * order
+            for block, images_of_block in zip(blocks, arrangement):
+                for point, image in zip(block, images_of_block):
+                    images[point - 1] = image
+            group.append(images)
+        expected = {
+            tuple(sorted({Tensor._flat(dim, order, tuple(w[k - 1] for k in g)) for g in group}))
+            for w in itertools.product(range(dim), repeat=order)
+        }
+        orbits, spread, stab = layout_orbits(blocks, dim)
+        assert sorted(map(sorted, orbits)) == sorted(map(list, expected))
+        assert all(flat in orbits[k] for flat, k in enumerate(spread))
+        assert stab == tuple(len(group) // len(orbit) for orbit in orbits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_layout_is_the_brute_force_orbits(self, data):
+        order = data.draw(st.integers(1, 5), label="order")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        self.assert_brute_force_orbits(data.draw(set_partitions(order), label="pi").blocks, dim)
+
+    def test_layout_at_dimension_one(self):
+        for order in range(1, 6):
+            for pi in all_set_partitions(order):
+                self.assert_brute_force_orbits(pi.blocks, 1)
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
