@@ -249,20 +249,16 @@ def run_suite(name: str, config: SuiteConfig) -> dict:
 # --- subcommand handlers ---------------------------------------------------
 
 
+def _emit(args, doc: dict, lines: list[str]) -> None:
+    """Print doc as indented, key-sorted JSON under --output json, else the text lines."""
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.output == "json" else "\n".join(lines))
+
+
 def cmd_critical_set(args) -> int:
     lam = _parse_partition(args.partition)
     critical = _sorted_partitions(critical_set(lam))
-    if args.output == "json":
-        doc = {
-            "lambda": lam.to_json_obj(),
-            "critical": [q.to_json_obj() for q in critical],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    elif critical:
-        for q in critical:
-            print(q)
-    else:
-        print("(empty)")
+    doc = {"lambda": lam.to_json_obj(), "critical": [q.to_json_obj() for q in critical]}
+    _emit(args, doc, [str(q) for q in critical] or ["(empty)"])
     return 0
 
 
@@ -270,14 +266,10 @@ def cmd_verify(args) -> int:
     config = SuiteConfig(args.p, args.n, args.trials, args.seed, args.max_mu)
     result = run_suite(args.suite, config)
     doc = {"suite": args.suite, "config": config.to_json_obj(), **result}
-    if args.output == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for check in result["checks"]:
-            print(f"[{'pass' if check['pass'] else 'FAIL'}] {args.suite} {check['name']}")
-        for note in result.get("notes", []):
-            print(f"note: {note}")
-        print(f"verdict: {result['verdict']}")
+    lines = [f"[{'pass' if c['pass'] else 'FAIL'}] {args.suite} {c['name']}"
+             for c in result["checks"]]
+    lines += [f"note: {note}" for note in result.get("notes", [])]
+    _emit(args, doc, lines + [f"verdict: {result['verdict']}"])
     return 0 if result["verdict"] == "pass" else 1
 
 
@@ -325,10 +317,7 @@ def cmd_hyperdet(args) -> int:
         text = str(value)
     except ValueError as exc:  # str's only ValueError: an integer past the digit limit
         raise _digit_limit(f"the {name} value has") from exc
-    if args.output == "json":
-        print(json.dumps({"invariant": name, "value": text}, indent=2, sort_keys=True))
-    else:
-        print(text)
+    _emit(args, {"invariant": name, "value": text}, [text])
     return 0
 
 
@@ -353,14 +342,9 @@ def cmd_report(args) -> int:
         "verdict": verdict,
         "timings": timings,
     }
-    if args.output == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for name, result in suites.items():
-            print(f"suite {name}: {result['verdict']}")
-        for note in doc["notes"]:
-            print(f"note: {note}")
-        print(f"verdict: {verdict}")
+    lines = [f"suite {name}: {result['verdict']}" for name, result in suites.items()]
+    lines += [f"note: {note}" for note in doc["notes"]]
+    _emit(args, doc, lines + [f"verdict: {verdict}"])
     return 0 if verdict == "pass" else 1
 
 

@@ -112,8 +112,12 @@ class SetPartition:
         return [list(b) for b in self.blocks]
 
 
-@lru_cache(maxsize=None)
-def _all_partitions_cached(weight: int) -> tuple[Partition, ...]:
+def all_partitions(weight: int) -> list[Partition]:
+    """Every partition of `weight`, in reverse-lexicographic order."""
+    if not 1 <= weight <= MAX_ENUMERATION_WEIGHT:
+        raise SizeGuardError(
+            f"partition enumeration supports 1 <= weight <= {MAX_ENUMERATION_WEIGHT}, got {weight}"
+        )
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, prefix: tuple[int, ...]) -> None:
@@ -124,16 +128,7 @@ def _all_partitions_cached(weight: int) -> tuple[Partition, ...]:
             rec(remaining - k, k, prefix + (k,))
 
     rec(weight, weight, ())
-    return tuple(out)
-
-
-def all_partitions(weight: int) -> list[Partition]:
-    """Every partition of `weight`, in reverse-lexicographic order."""
-    if not 1 <= weight <= MAX_ENUMERATION_WEIGHT:
-        raise SizeGuardError(
-            f"partition enumeration supports 1 <= weight <= {MAX_ENUMERATION_WEIGHT}, got {weight}"
-        )
-    return list(_all_partitions_cached(weight))
+    return out
 
 
 def dominance_leq(lam: Partition, mu: Partition) -> bool:

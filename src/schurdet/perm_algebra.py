@@ -309,7 +309,6 @@ def _row_major_tableau(lam: Partition) -> tuple[SetPartition, SetPartition]:
     return SetPartition(rows), SetPartition(columns)
 
 
-@lru_cache(maxsize=None)
 def young_symmetrizer(lam: Partition) -> AlgebraElement:
     """Product (row sum) * (signed column sum) for the row-major filling of lam.
 
