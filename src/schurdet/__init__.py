@@ -53,7 +53,6 @@ from .tensor_space import (
     annihilates,
     evaluate,
     isotypic_rank,
-    permute_factors,
     project_isotypic,
     random_tensor,
     random_vector,
@@ -93,7 +92,6 @@ __all__ = [
     "isotypic_projector",
     "isotypic_rank",
     "kernel_failure",
-    "permute_factors",
     "pfaffian",
     "positive_element",
     "project_isotypic",

@@ -40,12 +40,12 @@ from .hyperdet import (
 )
 from .linalg import MAX_DET_SIZE, det_exact
 from .partitions import Partition, all_partitions, critical_set, is_exceptional
-from .perm_algebra import MAX_PROJECTOR_DEGREE, all_permutations
+from .perm_algebra import MAX_PROJECTOR_DEGREE, AlgebraElement, all_permutations
 from .rng import SplitMix64
 from .tensor_space import (
     MAX_DENSE_SIZE,
     Tensor,
-    permute_factors,
+    algebra_action,
     project_isotypic,
     random_tensor,
     random_vector,
@@ -212,11 +212,12 @@ def run_hyperdet222(config: SuiteConfig, trials: int) -> dict:
 
     invariant_ok = True
     homogeneity_ok = True
+    slot_actions = [AlgebraElement(3, {perm: 1}) for perm in all_permutations(3)]
     for _ in range(trials):
         tensor = random_tensor(3, 2, seeds.next_u64())
         value = hyperdet_222(tensor)
-        for perm in all_permutations(3):
-            if hyperdet_222(permute_factors(perm, tensor)) != value:
+        for action in slot_actions:
+            if hyperdet_222(algebra_action(action, tensor)) != value:
                 invariant_ok = False
         if hyperdet_222(tensor.scale(3)) != 81 * value:
             homogeneity_ok = False

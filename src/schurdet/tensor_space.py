@@ -7,6 +7,7 @@ position ((i_1 * n + i_2) * n + ...) + i_p.
 Slots are numbered 1..p, matching the points permutations act on.  The action
 is (sigma . A)_{i_1 ... i_p} = A_{i_{sigma(1)} ... i_{sigma(p)}}, which makes
 (sigma tau) . A = sigma . (tau . A) under the package's composition convention.
+A permutation acts through `algebra_action` as its one-term element.
 
 A Tensor stores integer numerators over one positive denominator in lowest
 terms, and the kernels here work on those integers; scalars are Fractions at
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 from .errors import InternalConsistencyError, SizeGuardError
 from .linalg import rank_exact
 from .partitions import Partition
-from .perm_algebra import AlgebraElement, Permutation, isotypic_projector
+from .perm_algebra import AlgebraElement, isotypic_projector
 from .rational import integer_values, refuse_denominators, refuse_numerators
 from .rng import SplitMix64
 
@@ -179,27 +180,6 @@ def rank_one(vectors: Sequence[Sequence]) -> Tensor:
     size = _dense_size(len(vectors), dim)
     entries, den = _outer("rank-one", vectors, dim, 1, size, size)
     return Tensor._from_ints(len(vectors), dim, entries, den)
-
-
-@lru_cache(maxsize=None)
-def _perm_table(images: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    """Flat-index map for the slot action: out[f] = in[table[f]]; digit j of f
-    goes to the slot k with images[k - 1] = j."""
-    order = len(images)
-    weights = [0] * order
-    for k, j in enumerate(images, start=1):
-        weights[j - 1] = dim ** (order - k)
-    digits = itertools.product(range(dim), repeat=order)
-    return tuple(sum(map(mul, d, weights)) for d in digits)
-
-
-def permute_factors(perm: Permutation, tensor: Tensor) -> Tensor:
-    """Slot action: result at (i_1..i_p) is the entry at (i_{perm(1)}..i_{perm(p)})."""
-    if perm.degree != tensor.order:
-        raise ValueError("permutation degree must equal the tensor order")
-    table = _perm_table(perm.images, tensor.dim)
-    nums = tensor.nums
-    return Tensor._from_ints(tensor.order, tensor.dim, [nums[s] for s in table], tensor.den)
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,9 @@
 
 Each of these computes a value by a route the library deliberately does not
 use: closed-form counting formulas, the fully expanded quartic invariant,
-plain Fraction loops over multi-indices for the slot action, contraction and
-slicing, and over term pairs for the group algebra product (the library runs
-those on integer numerators over one denominator, with coset sums for a Young
+plain Fraction loops over multi-indices for the slot action (`permute` is one
+permutation's, as its one-term element), contraction and slicing, and over
+term pairs for the group algebra product (the library runs those on integer numerators over one denominator, with coset sums for a Young
 sum on the left), the Young symmetrizer from row and column groups filtered out of
 itertools' permutations, with inversion-count signs, and the isotypic projector
 from it, by explicit conjugation and by class masses (the library builds it
@@ -140,6 +140,11 @@ def reference_algebra_action(element: AlgebraElement, tensor: Tensor) -> Tensor:
             total += coeff * tensor.entry(source)
         out[idx] = total
     return Tensor.from_map(tensor.order, tensor.dim, out)
+
+
+def permute(sigma: Permutation, tensor: Tensor) -> Tensor:
+    """sigma . A, the reference action of sigma's one-term element."""
+    return reference_algebra_action(AlgebraElement(sigma.degree, {sigma: 1}), tensor)
 
 
 def reference_contract_first(tensor: Tensor, vector) -> Tensor | Fraction:

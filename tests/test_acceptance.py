@@ -28,7 +28,6 @@ from schurdet import (
     is_exceptional,
     kernel_failure,
     isotypic_rank,
-    permute_factors,
     pfaffian,
     positive_element,
     project_isotypic,
@@ -215,7 +214,7 @@ def test_criterion_7_small_hyperdeterminant():
         if value != oracles.expanded_quartic_invariant(tensor):
             ok = False
         if any(
-            hyperdet_222(permute_factors(sigma, tensor)) != value
+            hyperdet_222(oracles.permute(sigma, tensor)) != value
             for sigma in all_permutations(3)
         ):
             ok = False

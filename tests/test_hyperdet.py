@@ -15,7 +15,6 @@ from schurdet import (
     degeneracy_crosscheck_222,
     det_exact,
     hyperdet_222,
-    permute_factors,
     pfaffian,
     random_skew_matrix,
     random_tensor,
@@ -273,7 +272,7 @@ class TestHyperdet222:
         t = random_tensor(3, 2, seed)
         value = hyperdet_222(t)
         for sigma in all_permutations(3):
-            assert hyperdet_222(permute_factors(sigma, t)) == value
+            assert hyperdet_222(oracles.permute(sigma, t)) == value
 
     @settings(max_examples=25)
     @given(seeds, st.integers(-5, 5))

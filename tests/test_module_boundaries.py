@@ -96,7 +96,7 @@ def test_no_private_names_cross_modules(path):
 @pytest.mark.parametrize(
     "source, expected",
     [
-        ("from .tensor_space import _perm_table\n", ["from tensor_space import _perm_table"]),
+        ("from .tensor_space import _orbit_layout\n", ["from tensor_space import _orbit_layout"]),
         (
             "from .perm_algebra import AlgebraElement\nAlgebraElement._from_ints(2, {}, 1)\n",
             ["AlgebraElement._from_ints"],

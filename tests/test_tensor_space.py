@@ -23,7 +23,6 @@ from schurdet import (
     evaluate,
     isotypic_projector,
     isotypic_rank,
-    permute_factors,
     positive_element,
     project_isotypic,
     random_tensor,
@@ -39,6 +38,7 @@ from schurdet.tensor_space import contract_first
 
 from oracles import (
     hook_length_count,
+    permute,
     reference_algebra_action,
     reference_contract_first,
     reference_evaluate,
@@ -227,41 +227,49 @@ class TestTensorBasics:
         assert time.perf_counter() - started < 0.5
 
 
+def act(sigma, t):
+    """The library's slot action: sigma's one-term element through algebra_action."""
+    return algebra_action(AlgebraElement(sigma.degree, {sigma: 1}), t)
+
+
 class TestSlotAction:
     def test_identity_acts_trivially(self):
         t = random_tensor(3, 3, 5)
-        assert permute_factors(Permutation.identity(3), t) == t
+        assert act(Permutation.identity(3), t) == t
 
     def test_entry_level_definition(self):
         t = random_tensor(3, 2, 17)
         sigma = Permutation([2, 3, 1])
-        moved = permute_factors(sigma, t)
+        moved = act(sigma, t)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
                     # (sigma . A)_{ijk} = A_{i_{sigma(1)} i_{sigma(2)} i_{sigma(3)}}
                     assert moved.entry((i, j, k)) == t.entry((j, k, i))
+        wide = random_tensor(3, 3, 19).scale(3**80 + 1)  # entries past one 64-bit lane
+        cases = [(random_tensor(p, n, 10 * p + n), p) for p in (3, 4) for n in (1, 2, 3)]
+        for u, p in cases + [(wide, 3)]:
+            for sigma in all_permutations(p):
+                assert act(sigma, u) == permute(sigma, u)
 
     @settings(max_examples=25)
     @given(seeds, st.permutations([1, 2, 3]), st.permutations([1, 2, 3]))
     def test_left_action(self, seed, im_a, im_b):
         t = random_tensor(3, 2, seed)
         a, b = Permutation(im_a), Permutation(im_b)
-        assert permute_factors(a * b, t) == permute_factors(
-            a, permute_factors(b, t)
-        )
+        assert act(a * b, t) == act(a, act(b, t))
 
     def test_evaluate_compatibility(self):
         t = random_tensor(3, 3, 23)
         xs = [random_vector(3, 31 + i) for i in range(3)]
         for sigma in all_permutations(3):
-            assert evaluate(permute_factors(sigma, t), xs) == evaluate(
+            assert evaluate(act(sigma, t), xs) == evaluate(
                 t, [xs[sigma(k) - 1] for k in range(1, 4)]
             )
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            permute_factors(Permutation.identity(2), random_tensor(3, 2, 1))
+            act(Permutation.identity(2), random_tensor(3, 2, 1))
 
 
 class TestEvaluation:
@@ -720,7 +728,6 @@ class TestCanonicalForm:
             t - zero,
             t + t - t,
             t.scale(6).scale(F(1) / 6),
-            permute_factors(identity, t),
             algebra_action(AlgebraElement(t.order, {identity: F(1)}), t),
         ]
         for other in built:
@@ -745,7 +752,7 @@ class TestCanonicalForm:
         vec = data.draw(st.lists(fractions, min_size=t.dim, max_size=t.dim))
         outputs = [
             algebra_action(data.draw(elements(t.order)), t),
-            permute_factors(perm, t),
+            algebra_action(AlgebraElement(t.order, {perm: 1}), t),
             t + other,
             t - other,
             t.scale(data.draw(fractions)),
@@ -838,15 +845,15 @@ class TestProjection:
         t = random_tensor(3, 3, 43)
         for lam in all_partitions(3):
             for sigma in all_permutations(3):
-                assert project_isotypic(lam, permute_factors(sigma, t)) == (
-                    permute_factors(sigma, project_isotypic(lam, t))
+                assert project_isotypic(lam, permute(sigma, t)) == (
+                    permute(sigma, project_isotypic(lam, t))
                 )
 
     def test_symmetric_component_is_symmetric(self):
         t = random_tensor(3, 3, 47)
         sym = project_isotypic(P(3), t)
         for sigma in all_permutations(3):
-            assert permute_factors(sigma, sym) == sym
+            assert permute(sigma, sym) == sym
 
     @settings(max_examples=40)
     @given(fraction_tensors())
@@ -856,7 +863,7 @@ class TestProjection:
         # the exterior power: (1/p!) * sum of sign(sigma) * (sigma . t)
         total = Tensor.zero(t.order, t.dim)
         for sigma in all_permutations(t.order):
-            total = total + permute_factors(sigma, t).scale(sigma.sign)
+            total = total + permute(sigma, t).scale(sigma.sign)
         expected = total.scale(F(1) / math.factorial(t.order))
         assert project_isotypic(Partition([1] * t.order), t) == expected
 
